@@ -12,7 +12,7 @@ from .raster import (
     resample_nearest,
     save_pnm,
 )
-from .filtering import BOX_KERNEL, LAPLACIAN_KERNEL, Kernel3x3, box_lpf, laplacian_hp, unsharp_mask
+from .filtering import box_lpf, laplacian_hp, unsharp_mask
 from .colorspace import HsvPlanes, IhsPlanes, hsv_forward, hsv_inverse, ihs_forward, ihs_inverse
 from .fusion import (
     FUSION_METHODS,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -89,6 +90,33 @@ def _manifest_str(entry: dict, key: str, where: str) -> str:
     return value
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _pair_id(entry: dict, where: str) -> str:
+    """The pair id names the pair's output directory, so it must be one
+    plain path component that stays inside ``output_dir``; an absolute
+    path always contains a separator."""
+    pair_id = _manifest_str(entry, "pair_id", where)
+    if "/" in pair_id or "\\" in pair_id or pair_id in (".", ".."):
+        raise UsageError(f"{where}: 'pair_id' must be a plain file name, got {pair_id!r}")
+    return pair_id
+
+
+def _method(name: str) -> str:
+    try:
+        return normalize_method(name)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
+def _check_percentile(value, name: str) -> float:
+    if not _is_real(value) or not 0.0 < float(value) < 100.0:
+        raise UsageError(f"{name} must be a number in (0, 100), got {value!r}")
+    return float(value)
+
+
 def load_manifest(path) -> BatchManifest:
     """Parse and validate a batch manifest JSON file.
 
@@ -118,10 +146,7 @@ def load_manifest(path) -> BatchManifest:
     for m in raw["methods"]:
         if not isinstance(m, str):
             raise UsageError(f"'methods' entries must be strings, got {m!r}")
-        try:
-            name = normalize_method(m)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        name = _method(m)
         if name in methods:
             raise UsageError(f"duplicate method {name!r}")
         methods.append(name)
@@ -131,11 +156,9 @@ def load_manifest(path) -> BatchManifest:
     base = manifest_path.parent
     output_dir = base / raw["output_dir"]
 
-    percentile = raw.get("csa_percentile", DEFAULT_CSA_PERCENTILE)
-    if not isinstance(percentile, (int, float)) or isinstance(percentile, bool):
-        raise UsageError("'csa_percentile' must be a number")
-    if not 0.0 < float(percentile) < 100.0:
-        raise UsageError(f"'csa_percentile' must be in (0, 100), got {percentile}")
+    percentile = _check_percentile(
+        raw.get("csa_percentile", DEFAULT_CSA_PERCENTILE), "'csa_percentile'"
+    )
 
     if not isinstance(raw["pairs"], list) or not raw["pairs"]:
         raise UsageError("'pairs' must be a non-empty list")
@@ -148,7 +171,7 @@ def load_manifest(path) -> BatchManifest:
         unknown = sorted(set(entry) - _PAIR_KEYS)
         if unknown:
             raise UsageError(f"{where}: unknown keys: {', '.join(unknown)}")
-        pair_id = _manifest_str(entry, "pair_id", where)
+        pair_id = _pair_id(entry, where)
         if pair_id in seen_ids:
             raise UsageError(f"{where}: duplicate pair_id {pair_id!r}")
         seen_ids.add(pair_id)
@@ -157,6 +180,14 @@ def load_manifest(path) -> BatchManifest:
         for p in (ms_path, pan_path):
             if not p.is_file():
                 raise UsageError(f"{where}: input file not found: {p}")
+        for key in ("ms_resolution_m", "pan_resolution_m"):
+            value = entry.get(key)
+            if value is not None and not _is_real(value):
+                raise UsageError(f"{where}: {key!r} must be a number, got {value!r}")
+        for key in ("ms_sensor", "pan_sensor", "location"):
+            value = entry.get(key)
+            if value is not None and not isinstance(value, str):
+                raise UsageError(f"{where}: {key!r} must be a string, got {value!r}")
         try:
             meta = SensorPairMeta(
                 pair_id=pair_id,
@@ -174,7 +205,7 @@ def load_manifest(path) -> BatchManifest:
         pairs=tuple(pairs),
         methods=tuple(methods),
         output_dir=output_dir,
-        csa_percentile=float(percentile),
+        csa_percentile=percentile,
     )
 
 
@@ -215,8 +246,8 @@ class _PairResult:
 def _run_pair(pair: PairSpec, manifest: BatchManifest) -> _PairResult:
     """Fuse and score one pair with every requested method.
 
-    A load failure fails every method of the pair; a single method
-    failure is recorded and the remaining methods still run.
+    A load or output-directory failure fails every method of the pair; a
+    single method failure is recorded and the remaining methods still run.
     """
     result = _PairResult(pair=pair, records=[], lines=[], failures=[])
     pair_id = pair.meta.pair_id
@@ -227,15 +258,18 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> _PairResult:
             ms_full = resample_nearest(ms, pan.width, pan.height)
         else:
             ms_full = ms
+        pair_dir = manifest.output_dir / pair_id
+        pair_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as e:
         for method in manifest.methods:
             result.failures.append((pair_id, method, str(e)))
             result.lines.append(f"  {method}: failed: {e}")
         return result
 
-    pair_dir = manifest.output_dir / pair_id
-    pair_dir.mkdir(parents=True, exist_ok=True)
     for method in manifest.methods:
+        # Drop the previous product, and the Laplacians memoised on its
+        # bands, before the next one is built.
+        fused = None
         try:
             fused = fuse(method, ms, pan)
             out_path = pair_dir / f"{method}.ppm"
@@ -280,11 +314,7 @@ def run_batch(manifest: BatchManifest) -> tuple[list, list]:
 
 
 def cmd_fuse(args) -> int:
-    try:
-        method = normalize_method(args.method)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    method = _method(args.method)
     ms = _as_multiband(load_pnm(args.ms))
     pan = _load_pan(args.pan)
     fused = fuse(method, ms, pan)
@@ -297,33 +327,26 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        method = normalize_method(args.method)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    method = _method(args.method)
+    percentile = _check_percentile(args.csa_percentile, "--csa-percentile")
     ms = _as_multiband(load_pnm(args.ms))
     pan = _load_pan(args.pan)
     fused = _as_multiband(load_pnm(args.fused))
     if ms.width != pan.width or ms.height != pan.height:
         ms = resample_nearest(ms, pan.width, pan.height)
-    records = evaluate_all(ms, pan, fused, args.pair_id, method, args.csa_percentile)
+    records = evaluate_all(ms, pan, fused, args.pair_id, method, percentile)
     write_csv(records, args.csv, append=True)
     print(f"wrote {len(records)} records for {args.pair_id}/{method} to {args.csv}")
     return EXIT_OK
 
 
 def cmd_batch(args) -> int:
-    try:
-        manifest = load_manifest(args.manifest)
-        records, failures = run_batch(manifest)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    manifest = load_manifest(args.manifest)
+    records, failures = run_batch(manifest)
+    # Rewritten even when every task failed, so no earlier run's rows stay.
     csv_path = manifest.output_dir / "metrics.csv"
-    if records:
-        write_csv(records, csv_path)
-        print(f"wrote {len(records)} records to {csv_path}")
+    write_csv(records, csv_path)
+    print(f"wrote {len(records)} records to {csv_path}")
     if failures:
         total = len(manifest.pairs) * len(manifest.methods)
         print(f"{len(failures)} of {total} fusion tasks failed", file=sys.stderr)
@@ -341,8 +364,7 @@ def cmd_gen_synthetic(args) -> int:
             smoothing_passes=args.passes,
         )
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(e)) from None
     paths = generate_pair(spec, args.out)
     for p in paths:
         print(f"wrote {p}")
@@ -353,8 +375,7 @@ def cmd_report(args) -> int:
     try:
         records = read_csv(args.csv)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(e)) from None
     for p in render_reports(records, args.out):
         print(f"wrote {p}")
     return EXIT_OK
@@ -421,6 +442,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.handler(args)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE

@@ -1,97 +1,34 @@
-"""3x3 spatial convolution plus the box low-pass, unsharp-mask and Laplacian
-high-pass filters every fusion method and spatial metric shares.
+"""The 3x3 box low-pass, unsharp-mask and Laplacian high-pass filters every
+fusion method and spatial metric shares.
 
 Edge handling is replicate (clamp-to-border) everywhere, so constant images
-pass through filters unchanged and weight-sum-zero kernels respond with
+pass through filters unchanged and weight-sum-zero filters respond with
 exact zeros on integral DN data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .raster import Raster
 
-__all__ = [
-    "Kernel3x3",
-    "BOX_KERNEL",
-    "LAPLACIAN_KERNEL",
-    "EDGE_POLICY",
-    "convolve3x3",
-    "box_lpf",
-    "unsharp_mask",
-    "laplacian_hp",
-]
-
-# The only supported edge policy; replicate padding preserves constants
-# exactly, which the fusion identities and metric guards rely on.
-EDGE_POLICY = "replicate"
+__all__ = ["box_lpf", "unsharp_mask", "laplacian_hp"]
 
 
-@dataclass(frozen=True, eq=False)
-class Kernel3x3:
-    """3x3 convolution weights stored as numerators over a common divisor.
-
-    The effective weight grid is ``numerators / divisor``. Keeping the
-    rational split lets the convolution accumulate integer-valued terms
-    exactly and divide once, so e.g. the box filter returns a constant
-    image bit-identical on integral DN input.
+def _box_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of each 3x3 window under replicate padding, taken separably:
+    three row-shifted slices, then three column-shifted ones. On integral
+    DN every partial sum is an exact integer, so the order is immaterial.
     """
-
-    numerators: np.ndarray
-    divisor: float = 1.0
-    edge_policy: str = EDGE_POLICY
-
-    def __post_init__(self):
-        a = np.asarray(self.numerators, dtype=np.float64)
-        if a.shape != (3, 3):
-            raise ValueError(f"kernel must be 3x3, got {a.shape}")
-        if not np.all(np.isfinite(a)) or not np.isfinite(self.divisor) or self.divisor == 0:
-            raise ValueError("kernel weights and divisor must be finite and nonzero")
-        if self.edge_policy != EDGE_POLICY:
-            raise ValueError(f"unsupported edge policy {self.edge_policy!r}")
-        a = np.ascontiguousarray(a)
-        a.flags.writeable = False
-        object.__setattr__(self, "numerators", a)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Effective real-valued 3x3 weight grid."""
-        return self.numerators / self.divisor
-
-
-BOX_KERNEL = Kernel3x3(np.ones((3, 3)), divisor=9.0)
-LAPLACIAN_KERNEL = Kernel3x3(
-    np.array([[-1.0, -1.0, -1.0], [-1.0, 8.0, -1.0], [-1.0, -1.0, -1.0]])
-)
-
-
-def convolve3x3(r: Raster, k: Kernel3x3) -> Raster:
-    """Correlate a raster with a 3x3 kernel under replicate padding.
-
-    out(i, j) = sum over u, v in {-1, 0, 1} of
-    weights(u, v) * r(clamp(i + u), clamp(j + v)). Output keeps the
-    input dimensions and is not quantized.
-    """
-    h, w = r.height, r.width
-    padded = np.pad(r.samples, 1, mode="edge")
-    acc = np.zeros((h, w), dtype=np.float64)
-    for du in range(3):
-        for dv in range(3):
-            num = k.numerators[du, dv]
-            if num == 0.0:
-                continue
-            acc += num * padded[du:du + h, dv:dv + w]
-    if k.divisor != 1.0:
-        acc /= k.divisor
-    return Raster(acc)
+    h, w = x.shape
+    padded = np.pad(x, 1, mode="edge")
+    rows = padded[0:h] + padded[1:h + 1] + padded[2:h + 2]
+    return rows[:, 0:w] + rows[:, 1:w + 1] + rows[:, 2:w + 2]
 
 
 def box_lpf(r: Raster) -> Raster:
     """Uniform 3x3 local average (the low-pass half of unsharp masking)."""
-    return convolve3x3(r, BOX_KERNEL)
+    return Raster(_box_sum(r.samples) / 9.0)
 
 
 def unsharp_mask(p: Raster) -> Raster:
@@ -100,5 +37,17 @@ def unsharp_mask(p: Raster) -> Raster:
 
 
 def laplacian_hp(r: Raster) -> Raster:
-    """8-connected Laplacian high-pass (center 8, all neighbors -1)."""
-    return convolve3x3(r, LAPLACIAN_KERNEL)
+    """8-connected Laplacian high-pass (center 8, all neighbors -1).
+
+    The result is memoised on ``r``: a Raster is frozen and its samples
+    are read-only, so later calls on the same object return the same
+    result object. Distinct but equal-valued rasters each compute their
+    own. The memo lives in the instance dict, which needs no lock shared
+    between instances; racing threads may both compute, and ``setdefault``
+    keeps the first result.
+    """
+    hp = r.__dict__.get("_laplacian_hp")
+    if hp is None:
+        hp = Raster(9.0 * r.samples - _box_sum(r.samples))
+        hp = r.__dict__.setdefault("_laplacian_hp", hp)
+    return hp

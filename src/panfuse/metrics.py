@@ -128,18 +128,17 @@ def hpdi(fused_band: Raster, pan: Raster) -> tuple[float, int]:
 
 
 def _local_michelson(band: Raster) -> np.ndarray:
+    # Min and max are exact, so each 3x3 window extremum is taken as a
+    # 3-tap pass over rows followed by a 3-tap pass over columns.
     h, w = band.height, band.width
-    padded = np.pad(band.samples, 1, mode="edge")
-    lo = padded[0:h, 0:w].copy()
-    hi = padded[0:h, 0:w].copy()
-    for du in range(3):
-        for dv in range(3):
-            window = padded[du:du + h, dv:dv + w]
-            np.minimum(lo, window, out=lo)
-            np.maximum(hi, window, out=hi)
+    p = np.pad(band.samples, 1, mode="edge")
+    row_lo = np.minimum(np.minimum(p[0:h], p[1:h + 1]), p[2:h + 2])
+    row_hi = np.maximum(np.maximum(p[0:h], p[1:h + 1]), p[2:h + 2])
+    lo = np.minimum(np.minimum(row_lo[:, 0:w], row_lo[:, 1:w + 1]), row_lo[:, 2:w + 2])
+    hi = np.maximum(np.maximum(row_hi[:, 0:w], row_hi[:, 1:w + 1]), row_hi[:, 2:w + 2])
     total = hi + lo
-    with np.errstate(invalid="ignore", divide="ignore"):
-        contrast = np.where(total == 0.0, 0.0, (hi - lo) / np.where(total == 0.0, 1.0, total))
+    contrast = np.zeros_like(total)
+    np.divide(hi - lo, total, out=contrast, where=total != 0.0)
     return contrast
 
 

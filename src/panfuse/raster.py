@@ -175,13 +175,20 @@ class _PnmScanner:
             self.pos += 1
         return self.data[start:self.pos]
 
-    def integer(self, what: str, context: str = "malformed header") -> int:
+    def integer(
+        self, what: str, context: str = "malformed header", limit: int | None = None
+    ) -> int:
+        """Next token as a plain decimal integer, at most ``limit``: ASCII
+        digits only, so no sign, underscore or other form ``int`` accepts."""
+        self.skip_separators()
         start = self.pos
         tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise PnmError(f"{context}: bad {what} {tok!r}", start) from None
+        if not tok.isdigit():
+            raise PnmError(f"{context}: bad {what} {tok!r}", start)
+        value = int(tok)
+        if limit is not None and value > limit:
+            raise PnmError(f"{context}: {what} {value} exceeds maxval {limit}", start)
+        return value
 
 
 def load_pnm(path) -> Union[Raster, MultiBandImage]:
@@ -193,8 +200,9 @@ def load_pnm(path) -> Union[Raster, MultiBandImage]:
     single-band files and a 3-band MultiBandImage for PPM.
 
     Raises:
-        PnmError: malformed header, truncated payload or unsupported
-            magic number, with the offending byte offset.
+        PnmError: malformed header, truncated payload, a sample above
+            maxval or unsupported magic number, with the offending byte
+            offset.
     """
     data = Path(path).read_bytes()
     sc = _PnmScanner(data)
@@ -235,6 +243,13 @@ def load_pnm(path) -> Union[Raster, MultiBandImage]:
             values = raw.astype(np.float64)
         else:
             values = (raw[0::2].astype(np.float64) * 256.0) + raw[1::2]
+        # A full-range maxval (255 or 65535) admits every stored value.
+        if maxval not in (255, 65535) and values.max() > maxval:
+            i = int(np.argmax(values > maxval))
+            raise PnmError(
+                f"malformed payload: sample {int(values[i])} exceeds maxval {maxval}",
+                sc.pos + i * bytes_per,
+            )
     else:
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
@@ -243,7 +258,7 @@ def load_pnm(path) -> Union[Raster, MultiBandImage]:
                 raise PnmError(
                     f"truncated payload: expected {count} samples, got {i}", sc.pos
                 )
-            values[i] = sc.integer("sample", context="malformed payload")
+            values[i] = sc.integer("sample", context="malformed payload", limit=maxval)
 
     values = values * 255.0 / maxval
     if channels == 1:

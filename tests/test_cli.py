@@ -1,12 +1,13 @@
 """CLI subcommands, exit codes, manifest validation, batch determinism."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from panfuse.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, load_manifest, main
-from panfuse.fusion import fuse
+from panfuse.fusion import METHOD_NAMES, fuse
 from panfuse.metrics import METRIC_ORDER
 from panfuse.raster import MultiBandImage, Raster, load_pnm, save_pnm
 from panfuse.report import read_csv
@@ -163,6 +164,25 @@ class TestEvaluateCommand:
         assert text.count("pair_id,method,band,metric,value,excluded_pixels") == 1
         assert len(read_csv(csv)) == 2 * ROWS_PER_PRODUCT
 
+    @pytest.mark.parametrize("percentile", ["150", "100", "0", "-1", "nan"])
+    def test_csa_percentile_out_of_range_is_usage_error(self, pair_dir, capsys, percentile):
+        csv = pair_dir / "m.csv"
+        code = main(
+            [
+                "evaluate",
+                "--ms", str(pair_dir / "ms.ppm"),
+                "--pan", str(pair_dir / "pan.pgm"),
+                "--fused", str(pair_dir / "ms.ppm"),
+                "--pair-id", "demo",
+                "--method", "sf",
+                "--csv", str(csv),
+                "--csa-percentile", percentile,
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "--csa-percentile must be a number in (0, 100)" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_dim_mismatch_fails(self, pair_dir, capsys):
         bad = pair_dir / "bad.ppm"
         save_pnm(
@@ -306,6 +326,42 @@ class TestManifestValidation:
         err = self.error(pair_dir, payload, capsys)
         assert "pairs[0]" in err
 
+    @pytest.mark.parametrize("pair_id", ["../escaped", "..", ".", "a/b", "a\\b", "/tmp/abs"])
+    def test_pair_id_must_be_one_path_component(self, pair_dir, capsys, pair_id):
+        payload = {
+            "pairs": [{"pair_id": pair_id, "ms_path": "ms.ppm", "pan_path": "pan.pgm"}],
+            "methods": ["SF"],
+            "output_dir": "out",
+        }
+        err = self.error(pair_dir, payload, capsys)
+        assert "pairs[0]: 'pair_id' must be a plain file name" in err
+        assert not (pair_dir / "out").exists()
+        assert not (pair_dir / "escaped").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ms_resolution_m", "30"),
+            ("pan_resolution_m", "15"),
+            ("ms_resolution_m", True),
+            ("location", 7),
+            ("ms_sensor", ["A"]),
+        ],
+    )
+    def test_metadata_types_checked_at_load(self, pair_dir, capsys, key, value):
+        entry = {
+            "pair_id": "p",
+            "ms_path": "ms.ppm",
+            "pan_path": "pan.pgm",
+            "ms_resolution_m": 30,
+            "pan_resolution_m": 15,
+        }
+        entry[key] = value
+        payload = {"pairs": [entry], "methods": ["SF"], "output_dir": "out"}
+        err = self.error(pair_dir, payload, capsys)
+        assert f"pairs[0]: {key!r} must be" in err
+        assert not (pair_dir / "out").exists()
+
     def test_valid_manifest_loads(self, pair_dir):
         payload = {
             "pairs": [
@@ -356,6 +412,28 @@ class TestBatchCommand:
         records = read_csv(tmp_path / "out" / "metrics.csv")
         assert {r.pair_id for r in records} == {"p0", "p2"}
 
+    def test_all_fail_rewrites_the_table(self, tmp_path, capsys):
+        manifest, _ = batch_manifest(tmp_path, n_pairs=1, methods=("SF",))
+        csv = tmp_path / "out" / "metrics.csv"
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_OK
+        assert len(read_csv(csv)) == ROWS_PER_PRODUCT
+        (tmp_path / "data0" / "ms.ppm").write_bytes(b"garbage")
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "1 of 1 fusion tasks failed" in captured.err
+        assert "wrote 0 records" in captured.out
+        assert csv.read_text() == "pair_id,method,band,metric,value,excluded_pixels\n"
+
+    def test_unwritable_pair_dir_fails_only_that_pair(self, tmp_path, capsys):
+        manifest, payload = batch_manifest(tmp_path, n_pairs=2, methods=("SF",))
+        payload["pairs"][1]["pair_id"] = "x" * 300  # longer than a file name may be
+        write_manifest(manifest, payload)
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "1 of 2 fusion tasks failed" in captured.err
+        records = read_csv(tmp_path / "out" / "metrics.csv")
+        assert {r.pair_id for r in records} == {"p0"}
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=("SF", "HFM"))
         assert main(["batch", "--manifest", str(manifest)]) == EXIT_OK
@@ -368,13 +446,21 @@ class TestBatchCommand:
         assert [p.read_bytes() for p in products] == first_products
 
     def test_thread_env_cap(self, tmp_path, capsys, monkeypatch):
-        manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=("SF",))
+        manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=METHOD_NAMES)
+
+        def outputs():
+            files = sorted((tmp_path / "out").rglob("*.*"))
+            return {p.relative_to(tmp_path): p.read_bytes() for p in files}
+
+        monkeypatch.setenv("PANFUSE_THREADS", "1")
         assert main(["batch", "--manifest", str(manifest)]) == EXIT_OK
-        serial = (tmp_path / "out" / "metrics.csv").read_bytes()
+        serial = outputs()
+        assert len(serial) == 2 * len(METHOD_NAMES) + 1
+        shutil.rmtree(tmp_path / "out")
         monkeypatch.setenv("PANFUSE_THREADS", "2")
         assert main(["batch", "--manifest", str(manifest)]) == EXIT_OK
         capsys.readouterr()
-        assert (tmp_path / "out" / "metrics.csv").read_bytes() == serial
+        assert outputs() == serial
 
     def test_invalid_thread_env(self, tmp_path, capsys, monkeypatch):
         manifest, _ = batch_manifest(tmp_path, n_pairs=1, methods=("SF",))

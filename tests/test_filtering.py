@@ -1,20 +1,18 @@
-"""Convolution and the box / unsharp-mask / Laplacian filters."""
+"""The box / unsharp-mask / Laplacian filters against a direct 3x3
+convolution oracle."""
+
+import sys
+import threading
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panfuse.filtering import (
-    BOX_KERNEL,
-    LAPLACIAN_KERNEL,
-    Kernel3x3,
-    box_lpf,
-    convolve3x3,
-    laplacian_hp,
-    unsharp_mask,
-)
+from panfuse.filtering import box_lpf, laplacian_hp, unsharp_mask
 from panfuse.raster import Raster
+
+BOX_WEIGHTS = [[1.0 / 9.0] * 3] * 3
+LAPLACIAN_WEIGHTS = [[-1.0, -1.0, -1.0], [-1.0, 8.0, -1.0], [-1.0, -1.0, -1.0]]
 
 
 def convolve_oracle(samples, weights):
@@ -38,61 +36,38 @@ def seeded(w, h, seed):
     return Raster(np.floor(np.random.default_rng(seed).uniform(0, 256, (h, w))))
 
 
-class TestKernel3x3:
-    def test_shape_enforced(self):
-        with pytest.raises(ValueError, match="3x3"):
-            Kernel3x3(np.ones((2, 3)))
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(ValueError):
-            Kernel3x3(np.ones((3, 3)), divisor=0.0)
-
-    def test_non_finite_rejected(self):
-        bad = np.ones((3, 3))
-        bad[1, 1] = np.inf
-        with pytest.raises(ValueError):
-            Kernel3x3(bad)
-
-    def test_edge_policy_fixed(self):
-        with pytest.raises(ValueError, match="edge policy"):
-            Kernel3x3(np.ones((3, 3)), edge_policy="zero")
-
-    def test_weights_view(self):
-        assert np.all(BOX_KERNEL.weights == 1.0 / 9.0)
-        lap = LAPLACIAN_KERNEL.weights
-        assert lap[1, 1] == 8.0
-        assert lap.sum() == 0.0
-
-
 class TestConvolve3x3:
+    """The 3x3 window arithmetic shared by box_lpf and laplacian_hp."""
+
     def test_constant_box_exact(self):
         c = Raster.constant(6, 4, 13.0)
-        out = convolve3x3(c, BOX_KERNEL)
+        out = box_lpf(c)
         assert np.array_equal(out.samples, c.samples)
 
     def test_constant_laplacian_exact_zero(self):
         c = Raster.constant(5, 5, 201.0)
-        assert np.all(convolve3x3(c, LAPLACIAN_KERNEL).samples == 0.0)
+        assert np.all(laplacian_hp(c).samples == 0.0)
 
     def test_three_by_three_box_values(self):
         r = Raster.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        out = convolve3x3(r, BOX_KERNEL)
+        out = box_lpf(r)
         # nine-term window sums under replicate padding, divided once
         expected = np.array([[21, 27, 33], [39, 45, 51], [57, 63, 69]]) / 9.0
         assert np.array_equal(out.samples, expected)
         assert out.samples[1, 1] == 5.0
 
     def test_matches_oracle_on_seeded_rasters(self):
-        for seed, kernel in ((5, BOX_KERNEL), (6, LAPLACIAN_KERNEL)):
+        cases = ((5, box_lpf, BOX_WEIGHTS), (6, laplacian_hp, LAPLACIAN_WEIGHTS))
+        for seed, filt, weights in cases:
             r = seeded(16, 16, seed)
-            got = convolve3x3(r, kernel)
-            want = convolve_oracle(r.samples.tolist(), kernel.weights.tolist())
+            got = filt(r)
+            want = convolve_oracle(r.samples.tolist(), weights)
             assert np.allclose(got.samples, np.array(want), rtol=1e-12, atol=1e-9)
 
     def test_single_pixel(self):
         r = Raster(np.array([[42.0]]))
-        assert convolve3x3(r, BOX_KERNEL).samples.tolist() == [[42.0]]
-        assert convolve3x3(r, LAPLACIAN_KERNEL).samples.tolist() == [[0.0]]
+        assert box_lpf(r).samples.tolist() == [[42.0]]
+        assert laplacian_hp(r).samples.tolist() == [[0.0]]
 
     @given(st.integers(0, 2 ** 31), st.integers(0, 2 ** 31))
     @settings(deadline=None, max_examples=30)
@@ -100,11 +75,8 @@ class TestConvolve3x3:
         x = seeded(7, 5, seed_a)
         y = seeded(7, 5, seed_b)
         mix = Raster(2.0 * x.samples + 3.0 * y.samples)
-        lhs = convolve3x3(mix, LAPLACIAN_KERNEL).samples
-        rhs = (
-            2.0 * convolve3x3(x, LAPLACIAN_KERNEL).samples
-            + 3.0 * convolve3x3(y, LAPLACIAN_KERNEL).samples
-        )
+        lhs = laplacian_hp(mix).samples
+        rhs = 2.0 * laplacian_hp(x).samples + 3.0 * laplacian_hp(y).samples
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
 
@@ -122,8 +94,11 @@ class TestBoxLpf:
         assert np.array_equal(out, footprint)
 
     def test_equals_convolve_with_box(self):
+        # integral input: the nine-term window sum is exact in any order,
+        # so box_lpf equals the oracle's sum of the unit grid divided by 9
         r = seeded(16, 16, 9)
-        assert np.array_equal(box_lpf(r).samples, convolve3x3(r, BOX_KERNEL).samples)
+        window_sums = convolve_oracle(r.samples.tolist(), [[1.0] * 3] * 3)
+        assert np.array_equal(box_lpf(r).samples, np.array(window_sums) / 9.0)
 
     @given(st.integers(0, 2 ** 31))
     @settings(deadline=None, max_examples=30)
@@ -144,7 +119,7 @@ class TestUnsharpMask:
         r = Raster(samples)
         out = unsharp_mask(r).samples
         direct = samples - np.array(
-            convolve_oracle(samples.tolist(), BOX_KERNEL.weights.tolist())
+            convolve_oracle(samples.tolist(), BOX_WEIGHTS)
         )
         assert np.allclose(out, direct, rtol=1e-12, atol=1e-12)
         # response confined to one pixel either side of the edge
@@ -169,8 +144,43 @@ class TestLaplacianHp:
 
     def test_matches_oracle(self):
         r = seeded(8, 8, 30)
-        want = convolve_oracle(r.samples.tolist(), LAPLACIAN_KERNEL.weights.tolist())
+        want = convolve_oracle(r.samples.tolist(), LAPLACIAN_WEIGHTS)
         assert np.allclose(laplacian_hp(r).samples, np.array(want), rtol=1e-12, atol=1e-9)
+
+    def test_memoised_per_raster(self):
+        r = seeded(9, 7, 32)
+        first = laplacian_hp(r)
+        assert laplacian_hp(r) is first
+        want = np.array(convolve_oracle(r.samples.tolist(), LAPLACIAN_WEIGHTS))
+        assert np.array_equal(first.samples, want)
+        # an equal-valued but distinct raster gets its own, equal result
+        twin = laplacian_hp(Raster(r.samples.copy()))
+        assert twin is not first
+        assert np.array_equal(twin.samples, want)
+
+    def test_memo_race_keeps_one_result(self):
+        r = seeded(64, 64, 33)
+        barrier = threading.Barrier(4, timeout=10)
+        results = []
+
+        def worker():
+            barrier.wait()
+            results.append(laplacian_hp(r))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4
+        assert all(hp is results[0] for hp in results)
+        assert laplacian_hp(r) is results[0]
 
     def test_shift_covariance_on_interior(self):
         r = seeded(10, 10, 31)

@@ -305,6 +305,53 @@ class TestLoadPnm:
         with pytest.raises(PnmError, match="malformed payload: bad sample"):
             load_pnm(p)
 
+    def test_binary_sample_above_maxval(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        head = b"P5\n3 1\n100\n"
+        p.write_bytes(head + bytes([7, 200, 100]))
+        with pytest.raises(PnmError, match="sample 200 exceeds maxval 100") as info:
+            load_pnm(p)
+        assert info.value.offset == len(head) + 1
+
+    def test_two_byte_sample_above_maxval(self, tmp_path):
+        p = tmp_path / "a.ppm"
+        head = b"P6\n1 1\n1000\n"
+        p.write_bytes(head + bytes([0x03, 0xE8, 0x03, 0xE9, 0x00, 0x00]))
+        with pytest.raises(PnmError, match="sample 1001 exceeds maxval 1000") as info:
+            load_pnm(p)
+        assert info.value.offset == len(head) + 2
+
+    def test_ascii_sample_above_maxval(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P2\n2 1\n100\n100 101\n")
+        with pytest.raises(PnmError, match="sample 101 exceeds maxval 100") as info:
+            load_pnm(p)
+        assert info.value.offset == 15
+
+    @pytest.mark.parametrize("token", [b"-5", b"+7", b"1_0"])
+    def test_ascii_sample_must_be_plain_digits(self, tmp_path, token):
+        p = tmp_path / "a.pgm"
+        head = b"P2\n2 1\n255\n3 "
+        p.write_bytes(head + token + b"\n")
+        with pytest.raises(PnmError, match="malformed payload: bad sample") as info:
+            load_pnm(p)
+        assert info.value.offset == len(head)
+
+    @pytest.mark.parametrize(
+        "data, what, offset",
+        [
+            (b"P2\n+2 1\n255\n0 0\n", "width", 3),
+            (b"P2\n2 -1\n255\n0 0\n", "height", 5),
+            (b"P5 1 1 2_55\n\x00", "maxval", 7),
+        ],
+    )
+    def test_header_integers_must_be_plain_digits(self, tmp_path, data, what, offset):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(data)
+        with pytest.raises(PnmError, match=f"malformed header: bad {what}") as info:
+            load_pnm(p)
+        assert info.value.offset == offset
+
     def test_maxval_out_of_range(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P2\n1 1\n0\n0\n")
