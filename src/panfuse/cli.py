@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -91,7 +90,13 @@ def _manifest_str(entry: dict, key: str, where: str) -> str:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite JSON number that fits a float: NaN, infinities and integers
+    such as 10**400 fail the comparison."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def _pair_id(entry: dict, where: str) -> str:
@@ -222,6 +227,15 @@ def _load_pan(path) -> Raster:
     return image
 
 
+def _load_pair(ms_path, pan_path) -> tuple[MultiBandImage, Raster]:
+    """Load an MS/PAN pair with the MS resampled onto the PAN grid."""
+    ms = _as_multiband(load_pnm(ms_path))
+    pan = _load_pan(pan_path)
+    if ms.width != pan.width or ms.height != pan.height:
+        ms = resample_nearest(ms, pan.width, pan.height)
+    return ms, pan
+
+
 def _thread_count(pair_count: int) -> int:
     env = os.environ.get(THREADS_ENV)
     if env is not None:
@@ -252,12 +266,7 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> _PairResult:
     result = _PairResult(pair=pair, records=[], lines=[], failures=[])
     pair_id = pair.meta.pair_id
     try:
-        ms = _as_multiband(load_pnm(pair.ms_path))
-        pan = _load_pan(pair.pan_path)
-        if ms.width != pan.width or ms.height != pan.height:
-            ms_full = resample_nearest(ms, pan.width, pan.height)
-        else:
-            ms_full = ms
+        ms, pan = _load_pair(pair.ms_path, pair.pan_path)
         pair_dir = manifest.output_dir / pair_id
         pair_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as e:
@@ -275,9 +284,7 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> _PairResult:
             out_path = pair_dir / f"{method}.ppm"
             save_pnm(fused, out_path)
             result.records.extend(
-                evaluate_all(
-                    ms_full, pan, fused, pair_id, method, manifest.csa_percentile
-                )
+                evaluate_all(ms, pan, fused, pair_id, method, manifest.csa_percentile)
             )
         except (ValueError, OSError) as e:
             result.failures.append((pair_id, method, str(e)))
@@ -296,11 +303,8 @@ def run_batch(manifest: BatchManifest) -> tuple[list, list]:
     """
     threads = _thread_count(len(manifest.pairs))
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
-    if threads == 1:
-        results = [_run_pair(p, manifest) for p in manifest.pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p: _run_pair(p, manifest), manifest.pairs))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda p: _run_pair(p, manifest), manifest.pairs))
 
     records: list[MetricRecord] = []
     failures: list[tuple[str, str, str]] = []
@@ -329,11 +333,8 @@ def cmd_fuse(args) -> int:
 def cmd_evaluate(args) -> int:
     method = _method(args.method)
     percentile = _check_percentile(args.csa_percentile, "--csa-percentile")
-    ms = _as_multiband(load_pnm(args.ms))
-    pan = _load_pan(args.pan)
+    ms, pan = _load_pair(args.ms, args.pan)
     fused = _as_multiband(load_pnm(args.fused))
-    if ms.width != pan.width or ms.height != pan.height:
-        ms = resample_nearest(ms, pan.width, pan.height)
     records = evaluate_all(ms, pan, fused, args.pair_id, method, percentile)
     write_csv(records, args.csv, append=True)
     print(f"wrote {len(records)} records for {args.pair_id}/{method} to {args.csv}")

@@ -7,6 +7,7 @@ fusion arithmetic never loses fractional intermediates.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
@@ -29,7 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Raster:
-    """Single-band 2-D grid of real-valued DN, shape (height, width)."""
+    """Single-band 2-D grid of real-valued DN, shape (height, width).
+
+    A C-contiguous float64 array that owns its data is frozen in place;
+    anything else, a view of another array included, is copied first.
+    """
 
     samples: np.ndarray
 
@@ -42,6 +47,8 @@ class Raster:
         if not np.all(np.isfinite(a)):
             raise ValueError("raster samples must all be finite")
         a = np.ascontiguousarray(a)
+        if a.base is not None:
+            a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "samples", a)
 
@@ -109,7 +116,7 @@ class BandStats:
 
 @dataclass(frozen=True)
 class SensorPairMeta:
-    """Sensor names, ground resolutions and spectral ranges for one MS/PAN pair."""
+    """Sensor names, ground resolutions and location of one MS/PAN pair."""
 
     pair_id: str
     ms_sensor: str | None = None
@@ -117,7 +124,6 @@ class SensorPairMeta:
     ms_resolution_m: float | None = None
     pan_resolution_m: float | None = None
     location: str | None = None
-    spectral_ranges: tuple = ()
 
     def __post_init__(self):
         if self.ms_resolution_m is not None and self.pan_resolution_m is not None:
@@ -125,7 +131,6 @@ class SensorPairMeta:
                 raise ValueError(
                     "ms_resolution_m must be >= pan_resolution_m (MS is the coarser image)"
                 )
-        object.__setattr__(self, "spectral_ranges", tuple(self.spectral_ranges))
 
     def label(self) -> str:
         """One-line human-readable label for logs."""
@@ -147,48 +152,42 @@ class PnmError(ValueError):
         self.offset = offset
 
 
-class _PnmScanner:
-    """Whitespace/comment-aware tokenizer over raw PNM bytes."""
+# Separators and "#" comments (each to the end of its line), then one
+# token: the bytes up to the next separator or "#"; empty only at end of file.
+_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*)*([^ \t\r\n\x0b\x0c#]*)")
+_COMMENT = re.compile(rb"#[^\n]*")
+_SEPARATORS = b" \t\r\n\x0b\x0c"
+_DIGITS_AND_SEPARATORS = b"0123456789" + _SEPARATORS
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def skip_separators(self, comments: bool = True) -> None:
-        data = self.data
-        while self.pos < len(data):
-            c = data[self.pos]
-            if c in b" \t\r\n\x0b\x0c":
-                self.pos += 1
-            elif comments and c == ord("#"):
-                nl = data.find(b"\n", self.pos)
-                self.pos = len(data) if nl < 0 else nl + 1
-            else:
-                return
+def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
+    """The next token after ``pos`` as a plain decimal integer (ASCII digits
+    only, so no sign, underscore or other form ``int`` accepts); returns the
+    value and the token's start and end offsets."""
+    m = _TOKEN.match(data, pos)
+    tok = m[1]
+    if not tok:
+        raise PnmError("unexpected end of file", len(data))
+    if not tok.isdigit():
+        raise PnmError(f"malformed header: bad {what} {tok!r}", m.start(1))
+    return int(tok), m.start(1), m.end(1)
 
-    def token(self) -> bytes:
-        self.skip_separators()
-        if self.pos >= len(self.data):
-            raise PnmError("unexpected end of file", self.pos)
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos] not in b" \t\r\n\x0b\x0c#":
-            self.pos += 1
-        return self.data[start:self.pos]
 
-    def integer(
-        self, what: str, context: str = "malformed header", limit: int | None = None
-    ) -> int:
-        """Next token as a plain decimal integer, at most ``limit``: ASCII
-        digits only, so no sign, underscore or other form ``int`` accepts."""
-        self.skip_separators()
-        start = self.pos
-        tok = self.token()
+def _check_ascii_samples(text: bytes, samples: list, base: int, maxval: int) -> None:
+    """Raise for the first of ``samples`` (the tokens of ``text``, which
+    starts at file offset ``base``) that is not plain digits or exceeds
+    maxval. Only a malformed file gets here, so a loop per token is fine."""
+    pos = 0
+    for tok in samples:
+        m = _TOKEN.match(text, pos)
+        pos = m.end(1)
         if not tok.isdigit():
-            raise PnmError(f"{context}: bad {what} {tok!r}", start)
-        value = int(tok)
-        if limit is not None and value > limit:
-            raise PnmError(f"{context}: {what} {value} exceeds maxval {limit}", start)
-        return value
+            raise PnmError(f"malformed payload: bad sample {tok!r}", base + m.start(1))
+        if int(tok) > maxval:
+            raise PnmError(
+                f"malformed payload: sample {int(tok)} exceeds maxval {maxval}",
+                base + m.start(1),
+            )
 
 
 def load_pnm(path) -> Union[Raster, MultiBandImage]:
@@ -205,66 +204,64 @@ def load_pnm(path) -> Union[Raster, MultiBandImage]:
             offset.
     """
     data = Path(path).read_bytes()
-    sc = _PnmScanner(data)
-    sc.skip_separators()
-    magic_at = sc.pos
-    if sc.pos >= len(data):
+    m = _TOKEN.match(data)
+    magic = m[1]
+    if not magic:
         raise PnmError("empty file", 0)
-    magic = sc.token()
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
-        raise PnmError(f"unsupported magic number {magic!r}", magic_at)
+        raise PnmError(f"unsupported magic number {magic!r}", m.start(1))
     channels = 3 if magic in (b"P3", b"P6") else 1
-    binary = magic in (b"P5", b"P6")
 
-    width = sc.integer("width")
-    height = sc.integer("height")
-    maxval_at = sc.pos
-    maxval = sc.integer("maxval")
+    width, width_at, pos = _header_int(data, m.end(1), "width")
+    height, _, pos = _header_int(data, pos, "height")
+    maxval, maxval_at, pos = _header_int(data, pos, "maxval")
     if width < 1 or height < 1:
-        raise PnmError(f"malformed header: bad dimensions {width}x{height}", maxval_at)
+        raise PnmError(f"malformed header: bad dimensions {width}x{height}", width_at)
     if not 1 <= maxval <= 65535:
         raise PnmError(f"malformed header: maxval {maxval} out of range", maxval_at)
 
     count = width * height * channels
-    if binary:
+    if magic in (b"P5", b"P6"):
         # Exactly one whitespace byte separates maxval from the payload.
-        if sc.pos >= len(data) or data[sc.pos] not in b" \t\r\n\x0b\x0c":
-            raise PnmError("malformed header: missing whitespace before payload", sc.pos)
-        sc.pos += 1
-        bytes_per = 1 if maxval <= 255 else 2
-        need = count * bytes_per
-        if len(data) - sc.pos < need:
+        if pos >= len(data) or data[pos] not in _SEPARATORS:
+            raise PnmError("malformed header: missing whitespace before payload", pos)
+        pos += 1
+        dtype = np.dtype("u1" if maxval <= 255 else ">u2")
+        need = count * dtype.itemsize
+        if len(data) - pos < need:
             raise PnmError(
-                f"truncated payload: need {need} bytes, have {len(data) - sc.pos}",
-                len(data),
+                f"truncated payload: need {need} bytes, have {len(data) - pos}", len(data)
             )
-        raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=sc.pos)
-        if bytes_per == 1:
-            values = raw.astype(np.float64)
-        else:
-            values = (raw[0::2].astype(np.float64) * 256.0) + raw[1::2]
+        values = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
         # A full-range maxval (255 or 65535) admits every stored value.
         if maxval not in (255, 65535) and values.max() > maxval:
             i = int(np.argmax(values > maxval))
             raise PnmError(
                 f"malformed payload: sample {int(values[i])} exceeds maxval {maxval}",
-                sc.pos + i * bytes_per,
+                pos + i * dtype.itemsize,
             )
     else:
-        values = np.empty(count, dtype=np.float64)
-        for i in range(count):
-            sc.skip_separators()
-            if sc.pos >= len(data):
-                raise PnmError(
-                    f"truncated payload: expected {count} samples, got {i}", sc.pos
-                )
-            values[i] = sc.integer("sample", context="malformed payload", limit=maxval)
-
-    values = values * 255.0 / maxval
+        # Comments become spaces of the same length, so offsets into
+        # ``text`` stay file offsets minus ``pos``. Nothing is sized from
+        # ``count``: the header may claim far more samples than are there.
+        text = _COMMENT.sub(lambda c: b" " * len(c[0]), data[pos:])
+        samples = text.split()
+        del samples[count:]  # tokens after the last sample are ignored
+        if text.translate(None, _DIGITS_AND_SEPARATORS):
+            _check_ascii_samples(text, samples, pos, maxval)
+        values = np.array(samples, dtype=np.float64)
+        if values.max(initial=0) > maxval:
+            _check_ascii_samples(text, samples, pos, maxval)
+        if len(samples) < count:
+            raise PnmError(
+                f"truncated payload: expected {count} samples, got {len(samples)}",
+                len(data),
+            )
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    values = values.reshape(shape) * 255.0 / maxval
     if channels == 1:
-        return Raster(values.reshape(height, width))
-    planes = values.reshape(height, width, 3)
-    return MultiBandImage(tuple(Raster(planes[:, :, c]) for c in range(3)))
+        return Raster(values)
+    return MultiBandImage(tuple(Raster(values[:, :, c]) for c in range(3)))
 
 
 def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:

@@ -299,12 +299,13 @@ class TestManifestValidation:
         assert "not found" in err
         assert not (tmp_path / "out").exists()
 
-    def test_bad_percentile(self, pair_dir, capsys):
+    @pytest.mark.parametrize("percentile", [100.0, pytest.param(10**400, id="10**400")])
+    def test_bad_percentile(self, pair_dir, capsys, percentile):
         payload = {
             "pairs": [{"pair_id": "p", "ms_path": "ms.ppm", "pan_path": "pan.pgm"}],
             "methods": ["SF"],
             "output_dir": "out",
-            "csa_percentile": 100.0,
+            "csa_percentile": percentile,
         }
         err = self.error(pair_dir, payload, capsys)
         assert "csa_percentile" in err
@@ -346,6 +347,7 @@ class TestManifestValidation:
             ("ms_resolution_m", True),
             ("location", 7),
             ("ms_sensor", ["A"]),
+            pytest.param("ms_resolution_m", 10**400, id="ms_resolution_m-10**400"),
         ],
     )
     def test_metadata_types_checked_at_load(self, pair_dir, capsys, key, value):
@@ -433,6 +435,20 @@ class TestBatchCommand:
         assert "1 of 2 fusion tasks failed" in captured.err
         records = read_csv(tmp_path / "out" / "metrics.csv")
         assert {r.pair_id for r in records} == {"p0"}
+
+    def test_ascii_header_claiming_too_many_samples_fails_only_that_pair(
+        self, tmp_path, capsys
+    ):
+        # 10**10 claimed samples: the loader must not allocate for them.
+        manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=("SF",))
+        (tmp_path / "data1" / "pan.pgm").write_bytes(b"P2\n100000 100000\n255\n1 2 3\n")
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "1 of 2 fusion tasks failed" in captured.err
+        assert "SF: failed: truncated payload" in captured.out
+        records = read_csv(tmp_path / "out" / "metrics.csv")
+        assert {r.pair_id for r in records} == {"p0"}
+        assert len(records) == ROWS_PER_PRODUCT
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=("SF", "HFM"))

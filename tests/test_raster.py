@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panfuse.filtering import laplacian_hp
 from panfuse.raster import (
     BandStats,
     MultiBandImage,
@@ -55,6 +56,37 @@ def small_rasters():
     )
 
 
+# Separators an ASCII PNM may put between tokens; "#c\n" right after a
+# token gives "12#c\n34", a comment with no separator before it.
+PNM_SEPARATORS = [b" ", b"\n", b"\t", b"\r\n", b"\x0b", b"\x0c", b"#c\n", b" # a 1\n\n", b"#\n"]
+
+
+@st.composite
+def ascii_and_binary_pnm(draw):
+    """The same random image as an ASCII PNM with random separators and
+    comments, and as a binary PNM (one byte per sample up to maxval 255,
+    two big-endian bytes above); returns both encodings and the samples."""
+    channels = draw(st.sampled_from([1, 3]))
+    width = draw(st.integers(min_value=1, max_value=5))
+    height = draw(st.integers(min_value=1, max_value=5))
+    maxval = draw(st.integers(min_value=1, max_value=65535))
+    count = width * height * channels
+    samples = draw(
+        st.lists(st.integers(min_value=0, max_value=maxval), min_size=count, max_size=count)
+    )
+    tokens = [b"P3" if channels == 3 else b"P2", b"%d" % width, b"%d" % height, b"%d" % maxval]
+    tokens += [b"%d" % v for v in samples]
+    seps = draw(
+        st.lists(st.sampled_from(PNM_SEPARATORS), min_size=len(tokens), max_size=len(tokens))
+    )
+    ascii_pnm = b"".join(t + sep for t, sep in zip(tokens, seps))
+    magic = b"P6" if channels == 3 else b"P5"
+    dtype = "u1" if maxval <= 255 else ">u2"
+    payload = np.array(samples, dtype=dtype).tobytes()
+    binary_pnm = magic + b"\n%d %d\n%d\n" % (width, height, maxval) + payload
+    return ascii_pnm, binary_pnm, np.array(samples, dtype=np.float64), maxval
+
+
 class TestRaster:
     def test_wraps_float64_read_only(self):
         r = Raster(np.array([[1, 2], [3, 4]], dtype=np.int32))
@@ -71,6 +103,21 @@ class TestRaster:
             Raster(np.zeros(4))
         with pytest.raises(ValueError):
             Raster(np.zeros((2, 2, 3)))
+
+    def test_owned_array_frozen_in_place(self):
+        a = np.zeros((2, 3))
+        r = Raster(a)
+        assert r.samples is a
+        assert not a.flags.writeable
+
+    def test_view_of_a_writable_array_is_copied(self):
+        base = np.zeros((3, 3))
+        r = Raster(base[:])
+        memo = laplacian_hp(r)
+        base[1, 1] = 1000.0
+        assert base.flags.writeable
+        assert r.samples[1, 1] == 0.0
+        assert np.array_equal(laplacian_hp(Raster(r.samples.copy())).samples, memo.samples)
 
     def test_constant_and_from_rows(self):
         c = Raster.constant(3, 2, 7.5)
@@ -355,11 +402,49 @@ class TestLoadPnm:
     def test_maxval_out_of_range(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P2\n1 1\n0\n0\n")
-        with pytest.raises(PnmError, match="maxval 0 out of range"):
+        with pytest.raises(PnmError, match="maxval 0 out of range") as info:
             load_pnm(p)
+        assert info.value.offset == 7
         p.write_bytes(b"P2\n1 1\n70000\n0\n")
-        with pytest.raises(PnmError, match="maxval 70000 out of range"):
+        with pytest.raises(PnmError, match="maxval 70000 out of range") as info:
             load_pnm(p)
+        assert info.value.offset == 7
+        p.write_bytes(b"P5\r\n1\r\n1\r\n70000\n\x00\x00")
+        with pytest.raises(PnmError, match="maxval 70000 out of range") as info:
+            load_pnm(p)
+        assert info.value.offset == 10
+
+    def test_bad_dimensions_point_at_the_width(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5\r\n0\r\n1\r\n1000\n")
+        with pytest.raises(PnmError, match="bad dimensions 0x1") as info:
+            load_pnm(p)
+        assert info.value.offset == 4
+
+    def test_ascii_header_claiming_too_many_samples(self, tmp_path):
+        # 10**10 claimed samples: nothing may be allocated for them.
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P2\n100000 100000\n255\n1 2 3\n")
+        with pytest.raises(
+            PnmError, match="truncated payload: expected 10000000000 samples, got 3"
+        ) as info:
+            load_pnm(p)
+        assert info.value.offset == p.stat().st_size
+
+    @given(ascii_and_binary_pnm())
+    @settings(deadline=None)
+    def test_ascii_and_binary_encodings_load_equal(self, tmp_path_factory, case):
+        ascii_pnm, binary_pnm, samples, maxval = case
+        d = tmp_path_factory.mktemp("pnm")
+        (d / "a.pnm").write_bytes(ascii_pnm)
+        (d / "b.pnm").write_bytes(binary_pnm)
+        a, b = load_pnm(d / "a.pnm"), load_pnm(d / "b.pnm")
+        a_bands, b_bands = getattr(a, "bands", (a,)), getattr(b, "bands", (b,))
+        assert len(a_bands) == len(b_bands)
+        expected = samples * 255.0 / maxval
+        for k, (x, y) in enumerate(zip(a_bands, b_bands)):
+            assert np.array_equal(x.samples, y.samples)
+            assert np.array_equal(x.samples.ravel(), expected[k :: len(a_bands)])
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "a.pgm"
