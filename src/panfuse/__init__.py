@@ -5,7 +5,6 @@ from .raster import (
     MultiBandImage,
     PnmError,
     Raster,
-    SensorPairMeta,
     band_stats,
     clamp_quantize,
     load_pnm,

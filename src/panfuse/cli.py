@@ -13,19 +13,12 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .fusion import METHOD_NAMES, fuse, normalize_method
 from .metrics import DEFAULT_CSA_PERCENTILE, MetricRecord, evaluate_all
-from .raster import (
-    MultiBandImage,
-    Raster,
-    SensorPairMeta,
-    load_pnm,
-    resample_nearest,
-    save_pnm,
-)
+from .raster import MultiBandImage, Raster, load_pnm, resample_nearest, save_pnm
 from .report import read_csv, render_reports, write_csv
 from .synthetic import SyntheticSpec, generate_pair
 
@@ -48,16 +41,6 @@ EXIT_USAGE = 2
 
 THREADS_ENV = "PANFUSE_THREADS"
 
-_PAIR_KEYS = {
-    "pair_id",
-    "ms_path",
-    "pan_path",
-    "ms_sensor",
-    "pan_sensor",
-    "ms_resolution_m",
-    "pan_resolution_m",
-    "location",
-}
 _MANIFEST_KEYS = {"pairs", "methods", "output_dir", "csa_percentile"}
 
 
@@ -67,11 +50,32 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class PairSpec:
-    """One manifest entry with its input paths already resolved."""
+    """One manifest entry, its input paths resolved: the pair's files,
+    sensor names, ground resolutions and location. Each field is a key
+    of a manifest pair entry."""
 
-    meta: SensorPairMeta
+    pair_id: str
     ms_path: Path
     pan_path: Path
+    ms_sensor: str | None = None
+    pan_sensor: str | None = None
+    ms_resolution_m: float | None = None
+    pan_resolution_m: float | None = None
+    location: str | None = None
+
+    def label(self) -> str:
+        """One-line human-readable label for logs."""
+        parts = [self.pair_id]
+        if self.ms_sensor or self.pan_sensor:
+            parts.append(f"{self.ms_sensor or '?'} / {self.pan_sensor or '?'}")
+        if self.ms_resolution_m is not None and self.pan_resolution_m is not None:
+            parts.append(f"({self.ms_resolution_m:g} m / {self.pan_resolution_m:g} m)")
+        if self.location:
+            parts.append(self.location)
+        return " ".join(parts)
+
+
+_PAIR_KEYS = {f.name for f in fields(PairSpec)}
 
 
 @dataclass(frozen=True)
@@ -193,18 +197,14 @@ def load_manifest(path) -> BatchManifest:
             value = entry.get(key)
             if value is not None and not isinstance(value, str):
                 raise UsageError(f"{where}: {key!r} must be a string, got {value!r}")
-        try:
-            meta = SensorPairMeta(
-                pair_id=pair_id,
-                ms_sensor=entry.get("ms_sensor"),
-                pan_sensor=entry.get("pan_sensor"),
-                ms_resolution_m=entry.get("ms_resolution_m"),
-                pan_resolution_m=entry.get("pan_resolution_m"),
-                location=entry.get("location"),
+        pair = PairSpec(**{**entry, "ms_path": ms_path, "pan_path": pan_path})
+        ms_m, pan_m = pair.ms_resolution_m, pair.pan_resolution_m
+        if ms_m is not None and pan_m is not None and ms_m < pan_m:
+            raise UsageError(
+                f"{where}: ms_resolution_m must be >= pan_resolution_m "
+                "(MS is the coarser image)"
             )
-        except (TypeError, ValueError) as e:
-            raise UsageError(f"{where}: {e}") from None
-        pairs.append(PairSpec(meta=meta, ms_path=ms_path, pan_path=pan_path))
+        pairs.append(pair)
 
     return BatchManifest(
         pairs=tuple(pairs),
@@ -264,7 +264,7 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> _PairResult:
     single method failure is recorded and the remaining methods still run.
     """
     result = _PairResult(pair=pair, records=[], lines=[], failures=[])
-    pair_id = pair.meta.pair_id
+    pair_id = pair.pair_id
     try:
         ms, pan = _load_pair(pair.ms_path, pair.pan_path)
         pair_dir = manifest.output_dir / pair_id
@@ -309,7 +309,7 @@ def run_batch(manifest: BatchManifest) -> tuple[list, list]:
     records: list[MetricRecord] = []
     failures: list[tuple[str, str, str]] = []
     for result in results:
-        print(result.pair.meta.label())
+        print(result.pair.label())
         for line in result.lines:
             print(line)
         records.extend(result.records)

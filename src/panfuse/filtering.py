@@ -1,5 +1,6 @@
 """The 3x3 box low-pass, unsharp-mask and Laplacian high-pass filters every
-fusion method and spatial metric shares.
+fusion method and spatial metric shares, and the 3x3 window reduction they
+and the CSA local contrast are built on.
 
 Edge handling is replicate (clamp-to-border) everywhere, so constant images
 pass through filters unchanged and weight-sum-zero filters respond with
@@ -15,20 +16,29 @@ from .raster import Raster
 __all__ = ["box_lpf", "unsharp_mask", "laplacian_hp"]
 
 
-def _box_sum(x: np.ndarray) -> np.ndarray:
-    """Sum of each 3x3 window under replicate padding, taken separably:
-    three row-shifted slices, then three column-shifted ones. On integral
-    DN every partial sum is an exact integer, so the order is immaterial.
+def window3x3(x: np.ndarray, *reductions) -> list[np.ndarray]:
+    """Reduce each 3x3 window of ``x`` under replicate padding, once per
+    ufunc in ``reductions`` (``np.add``, ``np.minimum``, ``np.maximum``),
+    from one padded copy. Each is taken separably, over three row-shifted
+    slices and then three column-shifted ones, as ``f(f(a, b), c)`` with
+    the outer call in place (so a pass allocates one array, as ``a + b + c``
+    does). For ``np.add`` on integral DN every partial sum is an exact
+    integer, so the order is immaterial; min and max are exact in any order.
     """
     h, w = x.shape
-    padded = np.pad(x, 1, mode="edge")
-    rows = padded[0:h] + padded[1:h + 1] + padded[2:h + 2]
-    return rows[:, 0:w] + rows[:, 1:w + 1] + rows[:, 2:w + 2]
+    p = np.pad(x, 1, mode="edge")
+    out = []
+    for f in reductions:
+        rows = f(p[0:h], p[1:h + 1])
+        f(rows, p[2:h + 2], out=rows)
+        window = f(rows[:, 0:w], rows[:, 1:w + 1])
+        out.append(f(window, rows[:, 2:w + 2], out=window))
+    return out
 
 
 def box_lpf(r: Raster) -> Raster:
     """Uniform 3x3 local average (the low-pass half of unsharp masking)."""
-    return Raster(_box_sum(r.samples) / 9.0)
+    return Raster(window3x3(r.samples, np.add)[0] / 9.0)
 
 
 def unsharp_mask(p: Raster) -> Raster:
@@ -48,6 +58,6 @@ def laplacian_hp(r: Raster) -> Raster:
     """
     hp = r.__dict__.get("_laplacian_hp")
     if hp is None:
-        hp = Raster(9.0 * r.samples - _box_sum(r.samples))
+        hp = Raster(9.0 * r.samples - window3x3(r.samples, np.add)[0])
         hp = r.__dict__.setdefault("_laplacian_hp", hp)
     return hp

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .filtering import laplacian_hp
+from .filtering import laplacian_hp, window3x3
 from .raster import MultiBandImage, Raster
 
 __all__ = [
@@ -128,14 +128,7 @@ def hpdi(fused_band: Raster, pan: Raster) -> tuple[float, int]:
 
 
 def _local_michelson(band: Raster) -> np.ndarray:
-    # Min and max are exact, so each 3x3 window extremum is taken as a
-    # 3-tap pass over rows followed by a 3-tap pass over columns.
-    h, w = band.height, band.width
-    p = np.pad(band.samples, 1, mode="edge")
-    row_lo = np.minimum(np.minimum(p[0:h], p[1:h + 1]), p[2:h + 2])
-    row_hi = np.maximum(np.maximum(p[0:h], p[1:h + 1]), p[2:h + 2])
-    lo = np.minimum(np.minimum(row_lo[:, 0:w], row_lo[:, 1:w + 1]), row_lo[:, 2:w + 2])
-    hi = np.maximum(np.maximum(row_hi[:, 0:w], row_hi[:, 1:w + 1]), row_hi[:, 2:w + 2])
+    lo, hi = window3x3(band.samples, np.minimum, np.maximum)
     total = hi + lo
     contrast = np.zeros_like(total)
     np.divide(hi - lo, total, out=contrast, where=total != 0.0)
@@ -170,9 +163,10 @@ def csa(
     return float(np.mean(contrast[edge_mask])), float(np.mean(contrast[homog_mask]))
 
 
-def _band_average(values: list[float]) -> tuple[float, int]:
+def band_average(values: list[float]) -> tuple[float, int]:
     """Mean over bands; infinities are left out (and counted) so one
-    perfect band does not swamp the average."""
+    perfect band does not swamp the average, and +inf when none is finite.
+    Returns (mean, skipped)."""
     finite = [v for v in values if math.isfinite(v)]
     skipped = len(values) - len(finite)
     if not finite:
@@ -211,41 +205,29 @@ def evaluate_all(
             "(resample first)"
         )
 
-    records: list[MetricRecord] = []
-    per_metric: dict[str, list[float]] = {name: [] for name in METRIC_ORDER}
-    per_metric_excl: dict[str, list[int]] = {name: [] for name in METRIC_ORDER}
+    # One row per band of (value, excluded) pairs in METRIC_ORDER.
+    table = []
+    for fband, mband in zip(fused.bands, ms.bands):
+        row = [
+            deviation_index(fband, mband),
+            (snr(fband, mband), 0),
+            (nrmse(fband, mband), 0),
+            (fcc(fband, pan), 0),
+            hpdi(fband, pan),
+        ]
+        row += [(c, 0) for c in csa(fband, pan, csa_percentile)]
+        table.append(row)
 
-    for k, (fband, mband) in enumerate(zip(fused.bands, ms.bands), start=1):
-        di_value, di_excl = deviation_index(fband, mband)
-        snr_value = snr(fband, mband)
-        nrmse_value = nrmse(fband, mband)
-        fcc_value = fcc(fband, pan)
-        hpdi_value, hpdi_excl = hpdi(fband, pan)
-        edge_c, homog_c = csa(fband, pan, csa_percentile)
-
-        band_values = {
-            "DI": (di_value, di_excl),
-            "SNR": (snr_value, 0),
-            "NRMSE": (nrmse_value, 0),
-            "FCC": (fcc_value, 0),
-            "HPDI": (hpdi_value, hpdi_excl),
-            "CSA_edge": (edge_c, 0),
-            "CSA_homog": (homog_c, 0),
-        }
-        for name in METRIC_ORDER:
-            value, excl = band_values[name]
-            records.append(
-                MetricRecord(pair_id, method, k, name, value, excl)
-            )
-            per_metric[name].append(value)
-            per_metric_excl[name].append(excl)
-
-    for name in METRIC_ORDER:
+    records = [
+        MetricRecord(pair_id, method, k, name, value, excl)
+        for k, row in enumerate(table, start=1)
+        for name, (value, excl) in zip(METRIC_ORDER, row)
+    ]
+    for name, column in zip(METRIC_ORDER, zip(*table)):
+        values = [value for value, _ in column]
         if name == "SNR":
-            avg, skipped = _band_average(per_metric[name])
-            excl = skipped
+            avg, excl = band_average(values)
         else:
-            avg = sum(per_metric[name]) / len(per_metric[name])
-            excl = sum(per_metric_excl[name])
+            avg, excl = sum(values) / len(values), sum(x for _, x in column)
         records.append(MetricRecord(pair_id, method, "avg", name, avg, excl))
     return records

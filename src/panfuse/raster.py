@@ -18,7 +18,6 @@ __all__ = [
     "Raster",
     "MultiBandImage",
     "BandStats",
-    "SensorPairMeta",
     "PnmError",
     "load_pnm",
     "save_pnm",
@@ -114,36 +113,6 @@ class BandStats:
             raise ValueError("std must be >= 0")
 
 
-@dataclass(frozen=True)
-class SensorPairMeta:
-    """Sensor names, ground resolutions and location of one MS/PAN pair."""
-
-    pair_id: str
-    ms_sensor: str | None = None
-    pan_sensor: str | None = None
-    ms_resolution_m: float | None = None
-    pan_resolution_m: float | None = None
-    location: str | None = None
-
-    def __post_init__(self):
-        if self.ms_resolution_m is not None and self.pan_resolution_m is not None:
-            if self.ms_resolution_m < self.pan_resolution_m:
-                raise ValueError(
-                    "ms_resolution_m must be >= pan_resolution_m (MS is the coarser image)"
-                )
-
-    def label(self) -> str:
-        """One-line human-readable label for logs."""
-        parts = [self.pair_id]
-        if self.ms_sensor or self.pan_sensor:
-            parts.append(f"{self.ms_sensor or '?'} / {self.pan_sensor or '?'}")
-        if self.ms_resolution_m is not None and self.pan_resolution_m is not None:
-            parts.append(f"({self.ms_resolution_m:g} m / {self.pan_resolution_m:g} m)")
-        if self.location:
-            parts.append(self.location)
-        return " ".join(parts)
-
-
 class PnmError(ValueError):
     """Malformed PNM input; ``offset`` is the byte position of the problem."""
 
@@ -160,32 +129,43 @@ _SEPARATORS = b" \t\r\n\x0b\x0c"
 _DIGITS_AND_SEPARATORS = b"0123456789" + _SEPARATORS
 
 
+def _plain_int(tok: bytes, at: int, part: str, what: str) -> int:
+    """``tok``, which starts at file offset ``at``, as a plain decimal
+    integer: ASCII digits only, so no sign, underscore or other form
+    ``int`` accepts. Leading zeros are dropped first, so only a value with
+    more significant digits than ``int`` converts is rejected as too long."""
+    if not tok.isdigit():
+        raise PnmError(f"malformed {part}: bad {what} {tok!r}", at)
+    try:
+        return int(tok.lstrip(b"0") or b"0")
+    except ValueError:
+        raise PnmError(
+            f"malformed {part}: bad {what} ({len(tok)} digits, too long)", at
+        ) from None
+
+
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
-    """The next token after ``pos`` as a plain decimal integer (ASCII digits
-    only, so no sign, underscore or other form ``int`` accepts); returns the
-    value and the token's start and end offsets."""
+    """The next token after ``pos`` as a plain integer; returns the value
+    and the token's start and end offsets."""
     m = _TOKEN.match(data, pos)
     tok = m[1]
     if not tok:
         raise PnmError("unexpected end of file", len(data))
-    if not tok.isdigit():
-        raise PnmError(f"malformed header: bad {what} {tok!r}", m.start(1))
-    return int(tok), m.start(1), m.end(1)
+    return _plain_int(tok, m.start(1), "header", what), m.start(1), m.end(1)
 
 
 def _check_ascii_samples(text: bytes, samples: list, base: int, maxval: int) -> None:
     """Raise for the first of ``samples`` (the tokens of ``text``, which
-    starts at file offset ``base``) that is not plain digits or exceeds
+    starts at file offset ``base``) that is not a plain integer or exceeds
     maxval. Only a malformed file gets here, so a loop per token is fine."""
     pos = 0
     for tok in samples:
         m = _TOKEN.match(text, pos)
         pos = m.end(1)
-        if not tok.isdigit():
-            raise PnmError(f"malformed payload: bad sample {tok!r}", base + m.start(1))
-        if int(tok) > maxval:
+        value = _plain_int(tok, base + m.start(1), "payload", "sample")
+        if value > maxval:
             raise PnmError(
-                f"malformed payload: sample {int(tok)} exceeds maxval {maxval}",
+                f"malformed payload: sample {value} exceeds maxval {maxval}",
                 base + m.start(1),
             )
 

@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-from .metrics import METRIC_ORDER, MetricRecord
+from .metrics import METRIC_ORDER, MetricRecord, band_average
 
 __all__ = [
     "CSV_HEADER",
@@ -94,7 +94,7 @@ def read_csv(path) -> list[MetricRecord]:
                 value = float(value_s)
             except ValueError:
                 raise ValueError(f"line {line}: bad value {value_s!r}") from None
-            if math.isnan(value):
+            if math.isnan(value) or value == -math.inf:  # this package writes neither
                 raise ValueError(f"line {line}: bad value {value_s!r}")
             try:
                 excluded = int(excluded_s)
@@ -132,13 +132,8 @@ def chart_values(records: list[MetricRecord]):
         else:
             band_rows.setdefault(key, []).append(r.value)
 
-    values: dict = {}
-    for key in set(avg) | set(band_rows):
-        if key in avg:
-            values[key] = avg[key]
-        else:
-            finite = [v for v in band_rows[key] if math.isfinite(v)]
-            values[key] = sum(finite) / len(finite) if finite else math.inf
+    values = {key: band_average(rows)[0] for key, rows in band_rows.items()}
+    values.update(avg)
 
     ordered = [m for m in METRIC_ORDER if m in metrics]
     ordered += [m for m in metrics if m not in METRIC_ORDER]

@@ -325,7 +325,7 @@ class TestManifestValidation:
             "output_dir": "out",
         }
         err = self.error(pair_dir, payload, capsys)
-        assert "pairs[0]" in err
+        assert "pairs[0]: ms_resolution_m must be >= pan_resolution_m" in err
 
     @pytest.mark.parametrize("pair_id", ["../escaped", "..", ".", "a/b", "a\\b", "/tmp/abs"])
     def test_pair_id_must_be_one_path_component(self, pair_dir, capsys, pair_id):
@@ -380,7 +380,8 @@ class TestManifestValidation:
         }
         manifest = load_manifest(write_manifest(pair_dir / "manifest.json", payload))
         assert manifest.methods == ("SF", "IHS")
-        assert manifest.pairs[0].meta.ms_sensor == "A"
+        assert manifest.pairs[0].ms_sensor == "A"
+        assert manifest.pairs[0].pan_path == pair_dir / "pan.pgm"
         assert manifest.csa_percentile == 90.0
 
 
@@ -395,6 +396,7 @@ class TestBatchCommand:
                 assert product.exists()
                 assert load_pnm(product).band_count == 3
         assert "p0" in out and "ok ->" in out
+        assert "p0" in out.splitlines()  # a pair without metadata logs its bare id
         records = read_csv(tmp_path / "out" / "metrics.csv")
         assert len(records) == 2 * 2 * ROWS_PER_PRODUCT
         order = [(r.pair_id, r.method) for r in records[::ROWS_PER_PRODUCT]]

@@ -388,6 +388,29 @@ class TestEvaluateAll:
             avg = next(r.value for r in records if r.metric == metric and r.band == "avg")
             assert avg == pytest.approx(sum(values) / 3.0, rel=1e-12)
 
+    def test_avg_rows_excluded_pixels(self):
+        ms, pan = self._pair(9)
+        pan_s = pan.samples.copy()
+        pan_s[0, :5] = 0.0
+        pan = Raster(pan_s)
+        bands = []
+        for k, b in enumerate(ms.bands, start=1):
+            s = b.samples.copy()
+            s[k, :k] = 0.0  # band k has k zero pixels
+            bands.append(Raster(s))
+        ms = MultiBandImage(tuple(bands))
+        # Bands 1 and 3 equal the MS, so their SNR is infinite.
+        fused = MultiBandImage((bands[0], Raster(bands[1].samples + 1.0), bands[2]))
+        records = evaluate_all(ms, pan, fused, "p", "X")
+        excluded = {(r.band, r.metric): r.excluded_pixels for r in records}
+        assert [excluded[(k, "DI")] for k in (1, 2, 3)] == [1, 2, 3]
+        assert [excluded[(k, "HPDI")] for k in (1, 2, 3)] == [5, 5, 5]
+        assert excluded[("avg", "DI")] == 6
+        assert excluded[("avg", "HPDI")] == 15
+        for metric in ("NRMSE", "FCC", "CSA_edge", "CSA_homog"):
+            assert excluded[("avg", metric)] == 0
+        assert excluded[("avg", "SNR")] == 2
+
     def test_matches_metric_by_metric_recomputation(self):
         ms, pan = self._pair(5)
         fused = fuse_sf(ms, pan)

@@ -13,7 +13,6 @@ from panfuse.raster import (
     MultiBandImage,
     PnmError,
     Raster,
-    SensorPairMeta,
     band_stats,
     clamp_quantize,
     load_pnm,
@@ -148,26 +147,6 @@ class TestBandStatsType:
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
             BandStats(mean=1.0, std=-0.1)
-
-
-class TestSensorPairMeta:
-    def test_resolution_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            SensorPairMeta(pair_id="p", ms_resolution_m=0.5, pan_resolution_m=2.0)
-
-    def test_label(self):
-        meta = SensorPairMeta(
-            pair_id="p1",
-            ms_sensor="A",
-            pan_sensor="B",
-            ms_resolution_m=4.0,
-            pan_resolution_m=1.0,
-        )
-        label = meta.label()
-        assert "p1" in label and "A" in label and "4 m" in label
-
-    def test_minimal_label_is_pair_id(self):
-        assert SensorPairMeta(pair_id="x").label() == "x"
 
 
 class TestClampQuantize:
@@ -368,12 +347,22 @@ class TestLoadPnm:
             load_pnm(p)
         assert info.value.offset == len(head) + 2
 
-    def test_ascii_sample_above_maxval(self, tmp_path):
+    @pytest.mark.parametrize(
+        "samples, message, offset",
+        [
+            (b"100 101", "sample 101 exceeds maxval 100", 15),
+            # A zero-padded 7 is within maxval however long it is.
+            (b"0" * 4999 + b"7 101", "sample 101 exceeds maxval 100", 5012),
+            (b"3 " + b"9" * 5000, r"bad sample \(5000 digits, too long\)", 13),
+        ],
+        ids=["short", "zero-padded", "5000-digit"],
+    )
+    def test_ascii_sample_above_maxval(self, tmp_path, samples, message, offset):
         p = tmp_path / "a.pgm"
-        p.write_bytes(b"P2\n2 1\n100\n100 101\n")
-        with pytest.raises(PnmError, match="sample 101 exceeds maxval 100") as info:
+        p.write_bytes(b"P2\n2 1\n100\n" + samples + b"\n")
+        with pytest.raises(PnmError, match=message) as info:
             load_pnm(p)
-        assert info.value.offset == 15
+        assert info.value.offset == offset
 
     @pytest.mark.parametrize("token", [b"-5", b"+7", b"1_0"])
     def test_ascii_sample_must_be_plain_digits(self, tmp_path, token):
@@ -390,6 +379,9 @@ class TestLoadPnm:
             (b"P2\n+2 1\n255\n0 0\n", "width", 3),
             (b"P2\n2 -1\n255\n0 0\n", "height", 5),
             (b"P5 1 1 2_55\n\x00", "maxval", 7),
+            pytest.param(
+                b"P2\n" + b"1" * 5000 + b" 1\n255\n0\n", "width", 3, id="5000-digit-width"
+            ),
         ],
     )
     def test_header_integers_must_be_plain_digits(self, tmp_path, data, what, offset):

@@ -104,10 +104,11 @@ class TestReadCsvErrors:
         with pytest.raises(ValueError, match="line 2: bad value 'zero'"):
             read_csv(path)
 
-    def test_nan_rejected(self, tmp_path):
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_nan_rejected(self, tmp_path, value):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + "\np,SF,1,DI,nan,0\n")
-        with pytest.raises(ValueError, match="line 2: bad value"):
+        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,{value},0\n")
+        with pytest.raises(ValueError, match=f"line 2: bad value '{value}'"):
             read_csv(path)
 
     def test_bad_excluded_names_line(self, tmp_path):
