@@ -13,8 +13,9 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .fusion import METHOD_NAMES, fuse, normalize_method
 from .metrics import DEFAULT_CSA_PERCENTILE, MetricRecord, evaluate_all
@@ -41,7 +42,8 @@ EXIT_USAGE = 2
 
 THREADS_ENV = "PANFUSE_THREADS"
 
-_MANIFEST_KEYS = {"pairs", "methods", "output_dir", "csa_percentile"}
+# The batch table's file name in output_dir, so no pair_id may take it.
+_CSV_NAME = "metrics.csv"
 
 
 class UsageError(ValueError):
@@ -57,10 +59,10 @@ class PairSpec:
     pair_id: str
     ms_path: Path
     pan_path: Path
-    ms_sensor: str | None = None
-    pan_sensor: str | None = None
     ms_resolution_m: float | None = None
     pan_resolution_m: float | None = None
+    ms_sensor: str | None = None
+    pan_sensor: str | None = None
     location: str | None = None
 
     def label(self) -> str:
@@ -76,14 +78,28 @@ class PairSpec:
 
 
 _PAIR_KEYS = {f.name for f in fields(PairSpec)}
+# The optional keys of a pair entry and the kind each value must be.
+_PAIR_KINDS = {
+    key: get_args(hint)[0]
+    for key, hint in get_type_hints(PairSpec).items()
+    if type(None) in get_args(hint)
+}
+_KIND_NAMES = {float: "a number", str: "a string"}
 
 
 @dataclass(frozen=True)
 class BatchManifest:
+    """A parsed manifest. Each field is a top-level manifest key; those
+    without a default are required."""
+
     pairs: tuple[PairSpec, ...]
     methods: tuple[str, ...]
     output_dir: Path
     csa_percentile: float = DEFAULT_CSA_PERCENTILE
+
+
+_MANIFEST_KEYS = {f.name for f in fields(BatchManifest)}
+_REQUIRED_KEYS = [f.name for f in fields(BatchManifest) if f.default is MISSING]
 
 
 def _manifest_str(entry: dict, key: str, where: str) -> str:
@@ -110,6 +126,8 @@ def _pair_id(entry: dict, where: str) -> str:
     pair_id = _manifest_str(entry, "pair_id", where)
     if "/" in pair_id or "\\" in pair_id or pair_id in (".", ".."):
         raise UsageError(f"{where}: 'pair_id' must be a plain file name, got {pair_id!r}")
+    if pair_id == _CSV_NAME:
+        raise UsageError(f"{where}: 'pair_id' {pair_id!r} is reserved for the metrics table")
     return pair_id
 
 
@@ -135,17 +153,17 @@ def load_manifest(path) -> BatchManifest:
     """
     manifest_path = Path(path)
     try:
-        raw = json.loads(manifest_path.read_text())
+        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as e:
         raise UsageError(f"cannot read manifest: {e}") from None
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8, bad JSON, too deep
         raise UsageError(f"manifest is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise UsageError("manifest must be a JSON object")
     unknown = sorted(set(raw) - _MANIFEST_KEYS)
     if unknown:
         raise UsageError(f"unknown manifest keys: {', '.join(unknown)}")
-    for key in ("pairs", "methods", "output_dir"):
+    for key in _REQUIRED_KEYS:
         if key not in raw:
             raise UsageError(f"manifest is missing {key!r}")
 
@@ -189,14 +207,11 @@ def load_manifest(path) -> BatchManifest:
         for p in (ms_path, pan_path):
             if not p.is_file():
                 raise UsageError(f"{where}: input file not found: {p}")
-        for key in ("ms_resolution_m", "pan_resolution_m"):
+        for key, kind in _PAIR_KINDS.items():
             value = entry.get(key)
-            if value is not None and not _is_real(value):
-                raise UsageError(f"{where}: {key!r} must be a number, got {value!r}")
-        for key in ("ms_sensor", "pan_sensor", "location"):
-            value = entry.get(key)
-            if value is not None and not isinstance(value, str):
-                raise UsageError(f"{where}: {key!r} must be a string, got {value!r}")
+            ok = _is_real(value) if kind is float else isinstance(value, kind)
+            if value is not None and not ok:
+                raise UsageError(f"{where}: {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
         pair = PairSpec(**{**entry, "ms_path": ms_path, "pan_path": pan_path})
         ms_m, pan_m = pair.ms_resolution_m, pair.pan_resolution_m
         if ms_m is not None and pan_m is not None and ms_m < pan_m:
@@ -249,32 +264,33 @@ def _thread_count(pair_count: int) -> int:
     return max(1, min(pair_count, os.cpu_count() or 1))
 
 
-@dataclass
-class _PairResult:
-    pair: PairSpec
-    records: list
-    lines: list
-    failures: list
+def _failure_message(e: Exception) -> str:
+    """A failed task's message; an exception other than the expected
+    ValueError or OSError is named by its type."""
+    if isinstance(e, (ValueError, OSError)):
+        return str(e)
+    return f"{type(e).__name__}: {e}"
 
 
-def _run_pair(pair: PairSpec, manifest: BatchManifest) -> _PairResult:
-    """Fuse and score one pair with every requested method.
+def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int]:
+    """Fuse and score one pair with every requested method; returns its
+    records, its log lines and its count of failed tasks.
 
     A load or output-directory failure fails every method of the pair; a
-    single method failure is recorded and the remaining methods still run.
+    single method failure, of any exception type, is logged and the
+    remaining methods still run.
     """
-    result = _PairResult(pair=pair, records=[], lines=[], failures=[])
-    pair_id = pair.pair_id
+    records: list[MetricRecord] = []
+    lines = [pair.label()]
     try:
         ms, pan = _load_pair(pair.ms_path, pair.pan_path)
-        pair_dir = manifest.output_dir / pair_id
+        pair_dir = manifest.output_dir / pair.pair_id
         pair_dir.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError) as e:
-        for method in manifest.methods:
-            result.failures.append((pair_id, method, str(e)))
-            result.lines.append(f"  {method}: failed: {e}")
-        return result
+    except Exception as e:
+        lines += [f"  {method}: failed: {_failure_message(e)}" for method in manifest.methods]
+        return records, lines, len(manifest.methods)
 
+    failed = 0
     for method in manifest.methods:
         # Drop the previous product, and the Laplacians memoised on its
         # bands, before the next one is built.
@@ -283,19 +299,19 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> _PairResult:
             fused = fuse(method, ms, pan)
             out_path = pair_dir / f"{method}.ppm"
             save_pnm(fused, out_path)
-            result.records.extend(
-                evaluate_all(ms, pan, fused, pair_id, method, manifest.csa_percentile)
+            records.extend(
+                evaluate_all(ms, pan, fused, pair.pair_id, method, manifest.csa_percentile)
             )
-        except (ValueError, OSError) as e:
-            result.failures.append((pair_id, method, str(e)))
-            result.lines.append(f"  {method}: failed: {e}")
+        except Exception as e:
+            failed += 1
+            lines.append(f"  {method}: failed: {_failure_message(e)}")
         else:
-            result.lines.append(f"  {method}: ok -> {out_path}")
-    return result
+            lines.append(f"  {method}: ok -> {out_path}")
+    return records, lines, failed
 
 
-def run_batch(manifest: BatchManifest) -> tuple[list, list]:
-    """Run every pair/method combination; returns (records, failures).
+def run_batch(manifest: BatchManifest) -> tuple[list, int]:
+    """Run every pair/method combination; returns (records, failed task count).
 
     Pairs run concurrently (thread count from PANFUSE_THREADS, default
     one per pair up to the CPU count) but results are assembled in
@@ -307,14 +323,12 @@ def run_batch(manifest: BatchManifest) -> tuple[list, list]:
         results = list(pool.map(lambda p: _run_pair(p, manifest), manifest.pairs))
 
     records: list[MetricRecord] = []
-    failures: list[tuple[str, str, str]] = []
-    for result in results:
-        print(result.pair.label())
-        for line in result.lines:
-            print(line)
-        records.extend(result.records)
-        failures.extend(result.failures)
-    return records, failures
+    failed = 0
+    for pair_records, lines, pair_failed in results:
+        print("\n".join(lines))
+        records.extend(pair_records)
+        failed += pair_failed
+    return records, failed
 
 
 def cmd_fuse(args) -> int:
@@ -343,14 +357,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_batch(args) -> int:
     manifest = load_manifest(args.manifest)
-    records, failures = run_batch(manifest)
+    records, failed = run_batch(manifest)
     # Rewritten even when every task failed, so no earlier run's rows stay.
-    csv_path = manifest.output_dir / "metrics.csv"
+    csv_path = manifest.output_dir / _CSV_NAME
     write_csv(records, csv_path)
     print(f"wrote {len(records)} records to {csv_path}")
-    if failures:
+    if failed:
         total = len(manifest.pairs) * len(manifest.methods)
-        print(f"{len(failures)} of {total} fusion tasks failed", file=sys.stderr)
+        print(f"{failed} of {total} fusion tasks failed", file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK
 

@@ -66,9 +66,9 @@ def match_mean_std(src: Raster, ref_stats: BandStats) -> Raster:
     return Raster(ref_stats.mean + (src.samples - stats.mean) * scale)
 
 
-def _check_pair(ms: MultiBandImage, pan: Raster, op: str, bands: int | None = 3):
-    if bands is not None and ms.band_count != bands:
-        raise ValueError(f"{op} requires exactly {bands} bands, got {ms.band_count}")
+def _check_pair(ms: MultiBandImage, pan: Raster, op: str):
+    """MS and PAN must share a grid; the three-band methods leave the band
+    count to their colour transform."""
     if ms.width != pan.width or ms.height != pan.height:
         raise ValueError(
             f"{op}: MS {ms.width}x{ms.height} does not match "
@@ -123,7 +123,7 @@ def fuse_hsv(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
 
 def fuse_hfa(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
     """High-frequency addition: each band gets PAN's unsharp-mask plane."""
-    _check_pair(ms, pan, "fuse_hfa", bands=None)
+    _check_pair(ms, pan, "fuse_hfa")
     detail = unsharp_mask(pan).samples
     fused = tuple(Raster(b.samples + detail) for b in ms.bands)
     return _finalize(MultiBandImage(fused), quantize)
@@ -135,7 +135,7 @@ def fuse_hfm(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     Pixels where the low-pass denominator falls below 1e-9 pass the MS
     band through unchanged.
     """
-    _check_pair(ms, pan, "fuse_hfm", bands=None)
+    _check_pair(ms, pan, "fuse_hfm")
     lpf = box_lpf(pan).samples
     degenerate = lpf < _HFM_DENOM_FLOOR
     safe = np.where(degenerate, 1.0, lpf)
@@ -163,7 +163,7 @@ def fit_band_regression(pan: Raster, band: Raster) -> RegressionFit:
 def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
     """Regression variable substitution: each band becomes its OLS
     prediction from PAN."""
-    _check_pair(ms, pan, "fuse_rvs", bands=None)
+    _check_pair(ms, pan, "fuse_rvs")
     fused = []
     for b in ms.bands:
         fit = fit_band_regression(pan, b)
@@ -173,7 +173,7 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
 
 def fuse_ef(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
     """Edge fusion: each band gets PAN's Laplacian high-pass plane."""
-    _check_pair(ms, pan, "fuse_ef", bands=None)
+    _check_pair(ms, pan, "fuse_ef")
     edges = laplacian_hp(pan).samples
     fused = tuple(Raster(b.samples + edges) for b in ms.bands)
     return _finalize(MultiBandImage(fused), quantize)

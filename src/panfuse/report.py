@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import fields
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -24,7 +25,7 @@ __all__ = [
     "render_reports",
 ]
 
-CSV_HEADER = ("pair_id", "method", "band", "metric", "value", "excluded_pixels")
+CSV_HEADER = tuple(f.name for f in fields(MetricRecord))
 
 # Polarity notes shown under chart titles where the usual reading of the
 # metric would mislead.
@@ -38,69 +39,61 @@ _PALETTE = (
 )
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def write_csv(records: list[MetricRecord], path, append: bool = False) -> None:
-    """Write records as CSV; the header is emitted unless appending to a
-    non-empty file."""
+    """Write records as CSV, one column per ``MetricRecord`` field; the
+    header is emitted unless appending to a non-empty file."""
     p = Path(path)
     need_header = not (append and p.exists() and p.stat().st_size > 0)
     mode = "a" if append else "w"
     with p.open(mode, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.DictWriter(fh, CSV_HEADER, lineterminator="\n")
         if need_header:
-            writer.writerow(CSV_HEADER)
+            writer.writeheader()
         for r in records:
-            writer.writerow(
-                (
-                    r.pair_id,
-                    r.method,
-                    str(r.band),
-                    r.metric,
-                    _format_value(r.value),
-                    str(r.excluded_pixels),
-                )
-            )
+            # csv writes a Python float as its repr.
+            writer.writerow({**vars(r), "value": float(r.value)})
 
 
 def read_csv(path) -> list[MetricRecord]:
     """Parse a metric CSV written by this package.
 
     Raises:
-        ValueError: wrong header, malformed row (named by line number),
-            or a header-only file ("no records").
+        ValueError: wrong header, malformed row or CSV syntax (named by
+            line number), or a header-only file ("no records").
     """
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("no records: empty CSV") from None
-        if tuple(header) != CSV_HEADER:
-            raise ValueError(
-                f"line 1: bad header {header!r}, expected {','.join(CSV_HEADER)}"
-            )
-        records: list[MetricRecord] = []
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-            pair_id, method, band, metric, value_s, excluded_s = row
-            try:
-                value = float(value_s)
-            except ValueError:
-                raise ValueError(f"line {line}: bad value {value_s!r}") from None
-            if math.isnan(value) or value == -math.inf:  # this package writes neither
-                raise ValueError(f"line {line}: bad value {value_s!r}")
-            try:
-                excluded = int(excluded_s)
-            except ValueError:
-                raise ValueError(f"line {line}: bad excluded_pixels {excluded_s!r}") from None
-            records.append(MetricRecord(pair_id, method, band, metric, value, excluded))
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("no records: empty CSV")
+            if tuple(header) != CSV_HEADER:
+                raise ValueError(
+                    f"line 1: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+                )
+            records: list[MetricRecord] = []
+            for row in reader:
+                line = reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(
+                        f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                    )
+                pair_id, method, band, metric, value_s, excluded_s = row
+                try:
+                    value = float(value_s)
+                except ValueError:
+                    raise ValueError(f"line {line}: bad value {value_s!r}") from None
+                if math.isnan(value) or value == -math.inf:  # this package writes neither
+                    raise ValueError(f"line {line}: bad value {value_s!r}")
+                try:
+                    excluded = int(excluded_s)
+                except ValueError:
+                    raise ValueError(f"line {line}: bad excluded_pixels {excluded_s!r}") from None
+                records.append(MetricRecord(pair_id, method, band, metric, value, excluded))
+        except csv.Error as e:
+            raise ValueError(f"line {reader.line_num}: {e}") from None
     if not records:
         raise ValueError("no records: CSV has a header but no rows")
     return records
@@ -149,10 +142,6 @@ def _nice_ceil(v: float) -> float:
         if v <= mult * magnitude * (1.0 + 1e-12):
             return mult * magnitude
     return 10.0 * magnitude
-
-
-def _fmt_tick(v: float) -> str:
-    return f"{v:g}"
 
 
 def grouped_bar_chart_svg(
@@ -219,7 +208,7 @@ def grouped_bar_chart_svg(
         )
         out.append(
             f'<text x="{left - 8}" y="{y + 4:.2f}" font-size="11" fill="#333333" '
-            f'text-anchor="end">{_fmt_tick(v)}</text>'
+            f'text-anchor="end">{v:g}</text>'
         )
 
     slot = plot_w / len(pairs)

@@ -1,11 +1,13 @@
 """CLI subcommands, exit codes, manifest validation, batch determinism."""
 
+import itertools
 import json
 import shutil
 
 import numpy as np
 import pytest
 
+from panfuse import cli
 from panfuse.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, load_manifest, main
 from panfuse.fusion import METHOD_NAMES, fuse
 from panfuse.metrics import METRIC_ORDER
@@ -245,11 +247,18 @@ class TestManifestValidation:
         assert code == EXIT_USAGE
         return err
 
-    def test_not_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content",
+        [b"{nope", b'{"pairs": "\xff"}', b"[" * 100000],
+        ids=["syntax", "not-utf-8", "nested-too-deep"],
+    )
+    def test_not_json(self, tmp_path, capsys, content):
         manifest = tmp_path / "manifest.json"
-        manifest.write_text("{nope")
+        manifest.write_bytes(content)
         assert main(["batch", "--manifest", str(manifest)]) == EXIT_USAGE
-        assert "not valid JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest is not valid JSON")
+        assert err.count("\n") == 1
 
     def test_missing_key(self, tmp_path, capsys):
         err = self.error(tmp_path, {"pairs": [], "methods": ["SF"]}, capsys)
@@ -339,6 +348,13 @@ class TestManifestValidation:
         assert not (pair_dir / "out").exists()
         assert not (pair_dir / "escaped").exists()
 
+    def test_pair_id_may_not_be_the_metrics_table(self, tmp_path, capsys):
+        _, payload = batch_manifest(tmp_path, n_pairs=2)
+        payload["pairs"][1]["pair_id"] = "metrics.csv"
+        err = self.error(tmp_path, payload, capsys)
+        assert "pairs[1]: 'pair_id' 'metrics.csv' is reserved" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -415,6 +431,42 @@ class TestBatchCommand:
         assert not (tmp_path / "out" / "p1" / "SF.ppm").exists()
         records = read_csv(tmp_path / "out" / "metrics.csv")
         assert {r.pair_id for r in records} == {"p0", "p2"}
+
+    def test_any_exception_fails_only_its_task(self, tmp_path, capsys, monkeypatch):
+        manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=("SF", "IHS"))
+        ihs_calls = itertools.count()
+
+        def fuse_or_run_out_of_memory(method, ms, pan):
+            if method == "IHS" and next(ihs_calls) == 0:
+                raise MemoryError("no room for the product")
+            return fuse(method, ms, pan)
+
+        monkeypatch.setattr(cli, "fuse", fuse_or_run_out_of_memory)
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "1 of 4 fusion tasks failed" in captured.err
+        assert "  IHS: failed: MemoryError: no room for the product" in captured.out
+        records = read_csv(tmp_path / "out" / "metrics.csv")
+        tasks = {(r.pair_id, r.method) for r in records}
+        assert len(records) == 3 * ROWS_PER_PRODUCT
+        assert {("p0", "SF"), ("p1", "SF")} <= tasks and len(tasks) == 3
+
+    def test_any_exception_in_a_load_fails_only_its_pair(self, tmp_path, capsys, monkeypatch):
+        manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=("SF", "IHS"))
+        load_pnm_ok = cli.load_pnm
+
+        def load_or_run_out_of_memory(path):
+            if "data1" in str(path):
+                raise MemoryError("no room for the image")
+            return load_pnm_ok(path)
+
+        monkeypatch.setattr(cli, "load_pnm", load_or_run_out_of_memory)
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "2 of 4 fusion tasks failed" in captured.err
+        assert captured.out.count("failed: MemoryError: no room for the image") == 2
+        records = read_csv(tmp_path / "out" / "metrics.csv")
+        assert {(r.pair_id, r.method) for r in records} == {("p0", "SF"), ("p0", "IHS")}
 
     def test_all_fail_rewrites_the_table(self, tmp_path, capsys):
         manifest, _ = batch_manifest(tmp_path, n_pairs=1, methods=("SF",))
@@ -542,6 +594,16 @@ class TestReportCommand:
         csv.write_text("pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,oops,0\n")
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
+
+    def test_oversized_field_is_usage_error(self, pair_dir, capsys):
+        csv = pair_dir / "m.csv"
+        csv.write_text(
+            "pair_id,method,band,metric,value,excluded_pixels\n"
+            + "p" * 200_000 + ",SF,1,DI,0.5,0\n"
+        )
+        assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: line 2: field larger than field limit (131072)\n"
 
     def test_headerless_or_empty_body(self, pair_dir, capsys):
         csv = pair_dir / "m.csv"

@@ -232,7 +232,7 @@ class TestFuseSf:
 
     def test_band_count_enforced(self):
         one = MultiBandImage((Raster(np.zeros((2, 2))),))
-        with pytest.raises(ValueError, match="exactly 3 bands"):
+        with pytest.raises(ValueError, match="^ihs_forward requires exactly 3 bands, got 1$"):
             fuse_sf(one, Raster(np.zeros((2, 2))))
 
     def test_dim_mismatch_rejected(self):
@@ -296,6 +296,11 @@ class TestFuseHsv:
         out = fuse_hsv(ms, Raster(spike))
         for b in out.bands:
             assert b.samples.min() >= 0.0 and b.samples.max() <= 255.0
+
+    def test_band_count_enforced(self):
+        one = MultiBandImage((Raster(np.zeros((2, 2))),))
+        with pytest.raises(ValueError, match="^hsv_forward requires exactly 3 bands, got 1$"):
+            fuse_hsv(one, Raster(np.zeros((2, 2))))
 
 
 class TestFuseHfa:

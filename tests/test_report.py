@@ -34,7 +34,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "m.csv"
         write_csv(SAMPLE, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(CSV_HEADER)
+        assert lines[0] == "pair_id,method,band,metric,value,excluded_pixels"
         assert len(lines) == 1 + len(SAMPLE)
         assert lines[1] == "p1,SF,1,DI,0.1,0"
 
@@ -109,6 +109,12 @@ class TestReadCsvErrors:
         path = tmp_path / "m.csv"
         path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,{value},0\n")
         with pytest.raises(ValueError, match=f"line 2: bad value '{value}'"):
+            read_csv(path)
+
+    def test_csv_syntax_error_names_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(CSV_HEADER) + "\np,SF,1,DI,0.5,0\n" + "p" * 200_000 + "\n")
+        with pytest.raises(ValueError, match=r"line 3: field larger than field limit"):
             read_csv(path)
 
     def test_bad_excluded_names_line(self, tmp_path):
