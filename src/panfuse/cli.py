@@ -131,6 +131,17 @@ def _pair_id(entry: dict, where: str) -> str:
     return pair_id
 
 
+def _unique_keys(members: list[tuple[str, object]]) -> dict:
+    """A manifest JSON object as a dict; a repeated key is a usage error,
+    where ``json`` alone would keep the last value."""
+    obj = {}
+    for key, value in members:
+        if key in obj:
+            raise UsageError(f"manifest repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _method(name: str) -> str:
     try:
         return normalize_method(name)
@@ -147,15 +158,19 @@ def _check_percentile(value, name: str) -> float:
 def load_manifest(path) -> BatchManifest:
     """Parse and validate a batch manifest JSON file.
 
-    All validation happens up front: duplicate pair ids, unknown method
-    names, unknown keys, and missing input files are rejected before any
-    work starts.
+    All validation happens up front: repeated keys, duplicate pair ids,
+    unknown method names, unknown keys, and missing input files are
+    rejected before any work starts.
     """
     manifest_path = Path(path)
     try:
-        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+        raw = json.loads(
+            manifest_path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys
+        )
     except OSError as e:
         raise UsageError(f"cannot read manifest: {e}") from None
+    except UsageError:
+        raise
     except (ValueError, RecursionError) as e:  # bad UTF-8, bad JSON, too deep
         raise UsageError(f"manifest is not valid JSON: {e}") from None
     if not isinstance(raw, dict):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .raster import Raster
+from .raster import Raster, memoised
 
 __all__ = ["box_lpf", "unsharp_mask", "laplacian_hp"]
 
@@ -49,15 +49,12 @@ def unsharp_mask(p: Raster) -> Raster:
 def laplacian_hp(r: Raster) -> Raster:
     """8-connected Laplacian high-pass (center 8, all neighbors -1).
 
-    The result is memoised on ``r``: a Raster is frozen and its samples
-    are read-only, so later calls on the same object return the same
-    result object. Distinct but equal-valued rasters each compute their
-    own. The memo lives in the instance dict, which needs no lock shared
-    between instances; racing threads may both compute, and ``setdefault``
-    keeps the first result.
+    The result is memoised on ``r`` by ``raster.memoised``: later calls on
+    the same object return the same result object, and distinct but
+    equal-valued rasters each compute their own. Its thread rule is the
+    helper's: instance dict, ``setdefault``, no lock, so racing threads
+    may both compute and the first result is kept.
     """
-    hp = r.__dict__.get("_laplacian_hp")
-    if hp is None:
-        hp = Raster(9.0 * r.samples - window3x3(r.samples, np.add)[0])
-        hp = r.__dict__.setdefault("_laplacian_hp", hp)
-    return hp
+    return memoised(
+        r, "_laplacian_hp", lambda: Raster(9.0 * r.samples - window3x3(r.samples, np.add)[0])
+    )

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .filtering import laplacian_hp, window3x3
-from .raster import MultiBandImage, Raster
+from .raster import MultiBandImage, Raster, memoised
 
 __all__ = [
     "MetricRecord",
@@ -60,6 +60,18 @@ def _check_dims(a: Raster, b: Raster, op: str) -> None:
         )
 
 
+def _mean_ratio(num: np.ndarray, den: np.ndarray, excluded: int) -> float:
+    """Mean of num / den over the pixels where den is nonzero; ``num`` is
+    a scratch array. With nothing excluded it divides in place over the
+    whole array: the same elements in the same order as the compacted
+    path, so ``np.mean`` gives the same bits without the mask copies."""
+    if excluded:
+        valid = den != 0.0
+        return float(np.mean(num[valid] / den[valid]))
+    num /= den
+    return float(np.mean(num))
+
+
 def deviation_index(f: Raster, m: Raster) -> tuple[float, int]:
     """Mean of |f - m| / m over pixels where m is nonzero.
 
@@ -67,12 +79,10 @@ def deviation_index(f: Raster, m: Raster) -> tuple[float, int]:
     pixels. Raises if every pixel is excluded.
     """
     _check_dims(f, m, "deviation_index")
-    valid = m.samples != 0.0
-    excluded = int(m.samples.size - np.count_nonzero(valid))
+    excluded = int(m.samples.size - np.count_nonzero(m.samples))
     if excluded == m.samples.size:
         raise ValueError("undefined DI: reference band is zero everywhere")
-    ratios = np.abs(f.samples[valid] - m.samples[valid]) / m.samples[valid]
-    return float(np.mean(ratios)), excluded
+    return _mean_ratio(np.abs(f.samples - m.samples), m.samples, excluded), excluded
 
 
 def snr(f: Raster, m: Raster) -> float:
@@ -119,12 +129,11 @@ def hpdi(fused_band: Raster, pan: Raster) -> tuple[float, int]:
     denominator). Returns (value, excluded).
     """
     _check_dims(fused_band, pan, "hpdi")
-    valid = pan.samples != 0.0
-    excluded = int(pan.samples.size - np.count_nonzero(valid))
+    excluded = int(pan.samples.size - np.count_nonzero(pan.samples))
     if excluded == pan.samples.size:
         raise ValueError("undefined HPDI: PAN is zero everywhere")
     diff = np.abs(laplacian_hp(fused_band).samples - laplacian_hp(pan).samples)
-    return float(np.mean(diff[valid] / pan.samples[valid])), excluded
+    return _mean_ratio(diff, pan.samples, excluded), excluded
 
 
 def _local_michelson(band: Raster) -> np.ndarray:
@@ -133,6 +142,18 @@ def _local_michelson(band: Raster) -> np.ndarray:
     contrast = np.zeros_like(total)
     np.divide(hi - lo, total, out=contrast, where=total != 0.0)
     return contrast
+
+
+def _pan_classes(pan_hp: Raster, percentile: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the edge and homogeneous pixels of a PAN's
+    Laplacian plane; raises, memoising nothing, if either class is empty."""
+    magnitude = np.abs(pan_hp.samples)
+    threshold = float(np.percentile(magnitude, percentile))
+    edge_mask = magnitude >= threshold
+    edge, homog = np.flatnonzero(edge_mask), np.flatnonzero(~edge_mask)
+    if not edge.size or not homog.size:
+        raise ValueError("class empty: PAN edge classification is degenerate")
+    return edge, homog
 
 
 def csa(
@@ -146,6 +167,12 @@ def csa(
     (max - min) / (max + min) of ``band``, taken as 0 where max + min
     is zero.
 
+    The classes are computed once per PAN and percentile: they are
+    memoised on ``laplacian_hp(pan)`` by ``raster.memoised``, under that
+    helper's thread rule (instance dict, ``setdefault``, no lock). Each
+    class mean gathers the same pixels in the same order as a boolean
+    mask would, so its bits do not depend on the memo.
+
     Returns:
         (edge_contrast, homogeneous_contrast)
 
@@ -153,14 +180,12 @@ def csa(
         ValueError: if either class is empty (degenerate PAN).
     """
     _check_dims(band, pan, "csa")
-    magnitude = np.abs(laplacian_hp(pan).samples)
-    threshold = float(np.percentile(magnitude, percentile))
-    edge_mask = magnitude >= threshold
-    homog_mask = ~edge_mask
-    if not edge_mask.any() or not homog_mask.any():
-        raise ValueError("class empty: PAN edge classification is degenerate")
-    contrast = _local_michelson(band)
-    return float(np.mean(contrast[edge_mask])), float(np.mean(contrast[homog_mask]))
+    pan_hp = laplacian_hp(pan)
+    edge, homog = memoised(
+        pan_hp, ("_csa_classes", percentile), lambda: _pan_classes(pan_hp, percentile)
+    )
+    contrast = _local_michelson(band).ravel()
+    return float(np.mean(contrast.take(edge))), float(np.mean(contrast.take(homog)))
 
 
 def band_average(values: list[float]) -> tuple[float, int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Hashable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -25,6 +25,8 @@ __all__ = [
     "band_stats",
     "clamp_quantize",
 ]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +68,21 @@ class Raster:
     @classmethod
     def constant(cls, width: int, height: int, value: float) -> "Raster":
         return cls(np.full((height, width), value, dtype=np.float64))
+
+
+def memoised(r: Raster, key: Hashable, compute: Callable[[], T]) -> T:
+    """``compute()``, memoised on ``r`` under ``key``.
+
+    A Raster is frozen and its samples are read-only, so a value derived
+    from them holds for the object's life. The memo lives in the instance
+    dict, which needs no lock shared between instances; racing threads may
+    both compute, and ``setdefault`` keeps the first result. A ``compute``
+    that raises stores nothing, and ``compute`` must not return None.
+    """
+    value = r.__dict__.get(key)
+    if value is None:
+        value = r.__dict__.setdefault(key, compute())
+    return value
 
 
 @dataclass(frozen=True, eq=False)

@@ -87,7 +87,11 @@ def read_csv(path) -> list[MetricRecord]:
                     raise ValueError(f"line {line}: bad value {value_s!r}") from None
                 if math.isnan(value) or value == -math.inf:  # this package writes neither
                     raise ValueError(f"line {line}: bad value {value_s!r}")
+                # A count is plain ASCII digits: no sign, underscore or
+                # other form int() accepts.
                 try:
+                    if not (excluded_s.isascii() and excluded_s.isdigit()):
+                        raise ValueError
                     excluded = int(excluded_s)
                 except ValueError:
                     raise ValueError(f"line {line}: bad excluded_pixels {excluded_s!r}") from None

@@ -260,6 +260,29 @@ class TestManifestValidation:
         assert err.startswith("error: manifest is not valid JSON")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "content, key",
+        [
+            (
+                '{"pairs": [{"pair_id": "p", "ms_path": "ms.ppm", "pan_path": "pan.pgm"}],'
+                ' "methods": ["SF"], "methods": ["EF"], "output_dir": "out"}',
+                "methods",
+            ),
+            (
+                '{"pairs": [{"pair_id": "p", "ms_path": "ms.ppm", "pan_path": "pan.pgm",'
+                ' "pan_path": "ms.ppm"}], "methods": ["SF"], "output_dir": "out"}',
+                "pan_path",
+            ),
+        ],
+        ids=["top-level", "pair-entry"],
+    )
+    def test_repeated_key(self, pair_dir, capsys, content, key):
+        manifest = pair_dir / "manifest.json"
+        manifest.write_text(content)
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: manifest repeats key {key!r}\n"
+        assert not (pair_dir / "out").exists()
+
     def test_missing_key(self, tmp_path, capsys):
         err = self.error(tmp_path, {"pairs": [], "methods": ["SF"]}, capsys)
         assert "output_dir" in err
@@ -594,6 +617,13 @@ class TestReportCommand:
         csv.write_text("pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,oops,0\n")
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
+
+    def test_negative_excluded_is_usage_error(self, pair_dir, capsys):
+        csv = pair_dir / "m.csv"
+        csv.write_text("pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,0.5,-5\n")
+        assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: line 2: bad excluded_pixels '-5'\n"
+        assert not (pair_dir / "c").exists()
 
     def test_oversized_field_is_usage_error(self, pair_dir, capsys):
         csv = pair_dir / "m.csv"

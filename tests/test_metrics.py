@@ -1,9 +1,13 @@
 """Quality metrics against direct double-loop oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panfuse.filtering import laplacian_hp
 from panfuse.metrics import (
@@ -320,6 +324,113 @@ class TestCsa:
         got = csa(band, pan, percentile=50.0)
         want = csa_oracle(band.samples, pan.samples, percentile=50.0)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestCsaMemo:
+    def test_percentile_switch_recomputes(self):
+        band = seeded(12, 12, 40)
+        pan = seeded(12, 12, 41)
+        for percentile in (90.0, 50.0, 90.0):
+            got = csa(band, pan, percentile=percentile)
+            want = csa_oracle(band.samples, pan.samples, percentile=percentile)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_degenerate_pan_fails_on_every_call(self):
+        band = seeded(8, 8, 42)
+        pan = Raster.constant(8, 8, 100.0)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="class empty"):
+                csa(band, pan)
+
+    def test_memo_race_gives_equal_results(self):
+        bands = [seeded(64, 64, 43 + k) for k in range(4)]
+        pan = seeded(64, 64, 47)
+        barrier = threading.Barrier(4, timeout=10)
+        results = {}
+
+        def worker(k):
+            barrier.wait()
+            results[k] = csa(bands[k], pan)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for k, band in enumerate(bands):
+            # A fresh PAN twin shares no memo with the raced one.
+            assert results[k] == csa(band, Raster(pan.samples.copy()))
+            assert csa(band, pan) == results[k]
+
+    def test_laplacian_hp_keeps_returning_one_object(self):
+        band = seeded(12, 12, 48)
+        pan = seeded(12, 12, 49)
+        first = laplacian_hp(pan)
+        csa(band, pan)
+        csa(band, pan, percentile=50.0)
+        assert laplacian_hp(pan) is first
+
+
+def mask_deviation_index(f, m):
+    valid = m != 0.0
+    return float(np.mean(np.abs(f[valid] - m[valid]) / m[valid]))
+
+
+def mask_hpdi(hf, hp, p):
+    valid = p != 0.0
+    return float(np.mean(np.abs(hf - hp)[valid] / p[valid]))
+
+
+def mask_csa(contrast, hp, percentile):
+    magnitude = np.abs(hp)
+    edge = magnitude >= float(np.percentile(magnitude, percentile))
+    return float(np.mean(contrast[edge])), float(np.mean(contrast[~edge]))
+
+
+class TestBooleanMaskBitIdentity:
+    """DI, HPDI and CSA give the same bits as a boolean-mask gather.
+
+    ``metrics.csv`` holds each value's float ``repr``, so the comparison is
+    ``==``. Images up to 40x40 span several 128-element blocks of numpy's
+    pairwise summation; some images have zero pixels, so both the compacted
+    and the whole-array ratio paths run.
+    """
+
+    @given(
+        st.integers(0, 2 ** 31),
+        st.integers(2, 40),
+        st.integers(2, 40),
+        st.sampled_from([0.0, 0.02]),
+        st.sampled_from([50.0, 90.0]),
+    )
+    @settings(deadline=None, max_examples=25)
+    def test_matches_mask_formulation(self, seed, h, w, zero_frac, percentile):
+        rng = np.random.default_rng(seed)
+
+        def image():
+            a = rng.integers(0 if zero_frac else 1, 256, (h, w)).astype(np.float64)
+            a[rng.random((h, w)) < zero_frac] = 0.0
+            return Raster(a)
+
+        f, m, pan = image(), image(), image()
+        hf, hp = laplacian_hp(f).samples, laplacian_hp(pan).samples
+        assert deviation_index(f, m)[0] == mask_deviation_index(f.samples, m.samples)
+        assert hpdi(f, pan)[0] == mask_hpdi(hf, hp, pan.samples)
+        magnitude = np.abs(hp)
+        edge = magnitude >= float(np.percentile(magnitude, percentile))
+        if edge.all():
+            with pytest.raises(ValueError, match="class empty"):
+                csa(f, pan, percentile)
+            return
+        want = mask_csa(michelson_oracle(f.samples), hp, percentile)
+        assert csa(f, pan, percentile) == want
+        assert csa(f, pan, percentile) == want  # a memo hit
 
 
 class TestPermutationInvariance:

@@ -1,6 +1,7 @@
 """CSV interchange and SVG chart generation."""
 
 import math
+import re
 
 import pytest
 
@@ -121,6 +122,14 @@ class TestReadCsvErrors:
         path = tmp_path / "m.csv"
         path.write_text(",".join(CSV_HEADER) + "\np,SF,1,DI,0.5,many\n")
         with pytest.raises(ValueError, match="line 2: bad excluded_pixels"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("excluded", ["-5", "1_000", "+3", " 3", "\u0663"])
+    def test_excluded_must_be_plain_digits(self, tmp_path, excluded):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,2,DI,0.5,{excluded}\n")
+        want = re.escape(f"line 3: bad excluded_pixels '{excluded}'")
+        with pytest.raises(ValueError, match=want):
             read_csv(path)
 
 
