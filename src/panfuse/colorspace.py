@@ -71,9 +71,6 @@ class HsvPlanes:
         if len(dims) != 1:
             raise ValueError(f"plane dimensions disagree: {sorted(dims)}")
 
-    def with_value(self, v: Raster) -> "HsvPlanes":
-        return HsvPlanes(h=self.h, s=self.s, v=v)
-
 
 def _require_rgb(image: MultiBandImage, op: str) -> tuple:
     if image.band_count != 3:

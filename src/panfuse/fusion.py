@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colorspace import hsv_forward, hsv_inverse, ihs_forward, ihs_inverse
+from .colorspace import _require_rgb, ihs_forward, ihs_inverse
+# Unused: perfbench/tracer.py wraps them by attribute until ROADMAP item 4.
+from .colorspace import hsv_forward, hsv_inverse  # noqa: F401
 from .filtering import box_lpf, laplacian_hp, unsharp_mask
 from .raster import (
     BandStats,
@@ -67,8 +69,8 @@ def match_mean_std(src: Raster, ref_stats: BandStats) -> Raster:
 
 
 def _check_pair(ms: MultiBandImage, pan: Raster, op: str):
-    """MS and PAN must share a grid; the three-band methods leave the band
-    count to their colour transform."""
+    """MS and PAN must share a grid; the three-band methods check the band
+    count with ``colorspace``'s rule."""
     if ms.width != pan.width or ms.height != pan.height:
         raise ValueError(
             f"{op}: MS {ms.width}x{ms.height} does not match "
@@ -101,24 +103,42 @@ def fuse_sf(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiB
 
 
 def fuse_ihs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
-    """Component substitution: intensity replaced by mean/std-matched PAN."""
+    """Component substitution: intensity replaced by mean/std-matched PAN.
+
+    In closed form (Tu et al., Information Fusion 2(3), 2001): substituting
+    I = (R+G+B)/3 and inverting adds I_new - I to every band.
+    """
     _check_pair(ms, pan, "fuse_ihs")
-    planes = ihs_forward(ms)
-    matched = match_mean_std(pan, band_stats(planes.i))
-    return _finalize(ihs_inverse(planes.with_intensity(matched)), quantize)
+    bands = _require_rgb(ms, "fuse_ihs")
+    i = (bands[0] + bands[1] + bands[2]) / 3.0
+    delta = match_mean_std(pan, band_stats(Raster(i))).samples - i
+    return _finalize(MultiBandImage(tuple(Raster(b + delta) for b in bands)), quantize)
 
 
 def fuse_hsv(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
-    """Hexcone substitution: V replaced by mean/std-matched PAN.
+    """Hexcone substitution: V replaced by mean/std-matched PAN, clipped
+    into the inverse transform's range [0, 255].
 
-    The matched PAN is clipped into [0, 255] before the inverse
-    transform, which only accepts in-range value planes.
+    In closed form (Tu et al. 2001): hue and saturation are band ratios,
+    so substituting V = max(R, G, B) and inverting scales every band by
+    V_new / V, and gives V_new in every band where V = 0. A negative MS
+    sample, outside the hexcone domain, raises ValueError.
     """
     _check_pair(ms, pan, "fuse_hsv")
-    planes = hsv_forward(ms)
-    matched = match_mean_std(pan, band_stats(planes.v))
-    matched = Raster(np.clip(matched.samples, 0.0, 255.0))
-    return _finalize(hsv_inverse(planes.with_value(matched)), quantize)
+    bands = _require_rgb(ms, "fuse_hsv")
+    if min(float(b.min()) for b in bands) < 0.0:
+        raise ValueError("fuse_hsv requires non-negative MS samples (hexcone domain)")
+    v = np.maximum(np.maximum(bands[0], bands[1]), bands[2])
+    v_new = np.clip(match_mean_std(pan, band_stats(Raster(v))).samples, 0.0, 255.0)
+    black = v == 0.0
+    fused = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = v_new / v
+        for b in bands:
+            out = b * ratio
+            np.copyto(out, v_new, where=black)
+            fused.append(Raster(out))
+    return _finalize(MultiBandImage(tuple(fused)), quantize)
 
 
 def fuse_hfa(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:

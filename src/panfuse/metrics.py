@@ -100,25 +100,39 @@ def nrmse(f: Raster, m: Raster) -> float:
     return math.sqrt(float(np.mean((f.samples - m.samples) ** 2)) / 255.0 ** 2)
 
 
-def pearson(a: Raster, b: Raster) -> float:
-    """Population Pearson correlation; errors on a zero-variance input."""
-    _check_dims(a, b, "pearson")
-    x = a.samples.ravel()
-    y = b.samples.ravel()
-    dx = x - np.mean(x)
+def _centred(r: Raster) -> tuple[np.ndarray, float]:
+    """The flattened samples minus their mean, and their population std."""
+    y = r.samples.ravel()
     dy = y - np.mean(y)
-    sx = math.sqrt(float(np.mean(dx ** 2)))
-    sy = math.sqrt(float(np.mean(dy ** 2)))
+    dy.flags.writeable = False
+    return dy, math.sqrt(float(np.mean(dy ** 2)))
+
+
+def _correlate(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
+    (dx, sx), (dy, sy) = x, y
     if sx == 0.0 or sy == 0.0:
         raise ValueError("undefined correlation: zero-variance input")
     return float(np.mean(dx * dy)) / (sx * sy)
 
 
+def pearson(a: Raster, b: Raster) -> float:
+    """Population Pearson correlation; errors on a zero-variance input."""
+    _check_dims(a, b, "pearson")
+    return _correlate(_centred(a), _centred(b))
+
+
 def fcc(fused_band: Raster, pan: Raster) -> float:
     """Correlation of the Laplacian high-pass planes of band and PAN;
-    values near one indicate high spatial quality."""
+    values near one indicate high spatial quality.
+
+    PAN's centred plane and std are memoised on ``laplacian_hp(pan)`` by
+    ``raster.memoised``, so every band and method of a pair shares them;
+    the band's side is not memoised and dies with the call.
+    """
     _check_dims(fused_band, pan, "fcc")
-    return pearson(laplacian_hp(fused_band), laplacian_hp(pan))
+    pan_hp = laplacian_hp(pan)
+    pan_side = memoised(pan_hp, "_centred", lambda: _centred(pan_hp))
+    return _correlate(_centred(laplacian_hp(fused_band)), pan_side)
 
 
 def hpdi(fused_band: Raster, pan: Raster) -> tuple[float, int]:

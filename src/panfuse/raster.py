@@ -323,4 +323,6 @@ def band_stats(r: Raster) -> BandStats:
 
 def clamp_quantize(r: Raster) -> Raster:
     """Clamp to [0, 255] and round half-up to the integer DN grid."""
-    return Raster(np.floor(np.clip(r.samples, 0.0, 255.0) + 0.5))
+    out = np.clip(r.samples, 0.0, 255.0)
+    out += 0.5
+    return Raster(np.floor(out, out=out))

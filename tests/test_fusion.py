@@ -2,7 +2,8 @@
 
 The oracles here re-derive each method from its formula with plain Python
 loops (and colorsys for the hexcone transform), sharing no code with the
-library implementations.
+library implementations. The closed-form IHS and HSV are also checked
+against ``colorspace``'s transform round trips, their specification.
 """
 
 import colorsys
@@ -10,8 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from panfuse.colorspace import hsv_forward, ihs_forward
+from panfuse.colorspace import HsvPlanes, hsv_forward, hsv_inverse, ihs_forward, ihs_inverse
 from panfuse.fusion import (
     FUSION_METHODS,
     METHOD_NAMES,
@@ -274,6 +277,11 @@ class TestFuseIhs:
         for got, expected in zip(out.bands, ihs_oracle(ms, pan)):
             assert np.allclose(got.samples, expected, atol=1e-9, rtol=0)
 
+    def test_band_count_enforced(self):
+        one = MultiBandImage((Raster(np.zeros((2, 2))),))
+        with pytest.raises(ValueError, match="^fuse_ihs requires exactly 3 bands, got 1$"):
+            fuse_ihs(one, Raster(np.zeros((2, 2))))
+
 
 class TestFuseHsv:
     def test_self_fusion_identity(self):
@@ -299,8 +307,95 @@ class TestFuseHsv:
 
     def test_band_count_enforced(self):
         one = MultiBandImage((Raster(np.zeros((2, 2))),))
-        with pytest.raises(ValueError, match="^hsv_forward requires exactly 3 bands, got 1$"):
+        with pytest.raises(ValueError, match="^fuse_hsv requires exactly 3 bands, got 1$"):
             fuse_hsv(one, Raster(np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("pixel", [(-3.0, -3.0, -3.0), (10.0, -1.0, 0.0)])
+    def test_negative_sample_rejected(self, pixel):
+        ms = MultiBandImage(tuple(Raster(np.array([[v, 50.0]])) for v in pixel))
+        with pytest.raises(ValueError, match="^fuse_hsv requires non-negative MS samples"):
+            fuse_hsv(ms, Raster(np.array([[10.0, 20.0]])))
+
+
+def transform_ihs(ms, pan):
+    """IHS fusion by colorspace's forward and inverse transforms."""
+    planes = ihs_forward(ms)
+    return ihs_inverse(planes.with_intensity(match_mean_std(pan, band_stats(planes.i))))
+
+
+def transform_hsv(ms, pan):
+    """HSV fusion by colorspace's hexcone forward and inverse transforms."""
+    planes = hsv_forward(ms)
+    matched = np.clip(match_mean_std(pan, band_stats(planes.v)).samples, 0.0, 255.0)
+    return hsv_inverse(HsvPlanes(h=planes.h, s=planes.s, v=Raster(matched)))
+
+
+DN = st.integers(0, 255)
+# Black pixels (V = 0), gray pixels (S = 0) and coloured ones.
+PIXEL = st.one_of(st.just((0, 0, 0)), DN.map(lambda t: (t, t, t)), st.tuples(DN, DN, DN))
+
+
+@st.composite
+def ms_pan_pairs(draw):
+    """A small MS image and a PAN with one spike far below and one far
+    above a narrow band, which on the larger images push the matched
+    value plane past 0 and 255."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    n = h * w
+    pixels = np.array(draw(st.lists(PIXEL, min_size=n, max_size=n)), dtype=np.float64)
+    pan = np.array(draw(st.lists(st.integers(100, 110), min_size=n, max_size=n)), dtype=np.float64)
+    lo, hi = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    pan[lo], pan[hi] = draw(st.integers(0, 20)), draw(st.integers(200, 255))
+    ms = MultiBandImage(tuple(Raster(pixels[:, k].reshape(h, w)) for k in range(3)))
+    return ms, Raster(pan.reshape(h, w))
+
+
+def _row(values):
+    return Raster(np.array([values], dtype=np.float64))
+
+
+# A black pixel, a gray one, three coloured ones and a gray field, with a
+# PAN whose matched value plane reaches -13.8 and 262.9.
+BLACK_GRAY_CLIPPED = (
+    MultiBandImage(
+        (
+            _row([0, 90, 200, 30, 120] + [120] * 7),
+            _row([0, 90, 10, 60, 250] + [120] * 7),
+            _row([0, 90, 40, 250, 5] + [120] * 7),
+        )
+    ),
+    _row([128] * 4 + [0] + [128] * 6 + [255]),
+)
+
+
+class TestClosedFormsMatchTransforms:
+    """fuse_ihs and fuse_hsv against colorspace's transform round trips."""
+
+    def test_example_clips_at_both_ends(self):
+        ms, pan = BLACK_GRAY_CLIPPED
+        v = hsv_forward(ms).v
+        matched = match_mean_std(pan, band_stats(v)).samples
+        assert matched.min() < 0.0 and matched.max() > 255.0
+        assert np.any(v.samples == 0.0)
+        assert np.any((v.samples > 0.0) & (hsv_forward(ms).s.samples == 0.0))
+
+    @given(ms_pan_pairs())
+    @example(BLACK_GRAY_CLIPPED)
+    @settings(deadline=None, max_examples=150)
+    def test_equal_to_transform_round_trip(self, pair):
+        ms, pan = pair
+        for closed, transform in ((fuse_ihs, transform_ihs), (fuse_hsv, transform_hsv)):
+            real = closed(ms, pan, quantize=False)
+            want = transform(ms, pan)
+            for got, ref in zip(real.bands, want.bands):
+                np.testing.assert_allclose(got.samples, ref.samples, rtol=0, atol=1e-9)
+            for got, ref in zip(closed(ms, pan).bands, want.bands):
+                # 1e-9 apart, the two products can round apart only where
+                # one lies on a tie k + 0.5 and the other just below it.
+                quantized = clamp_quantize(ref).samples
+                tie = np.abs(ref.samples - np.floor(ref.samples) - 0.5) <= 1e-9
+                np.testing.assert_array_equal(got.samples[~tie], quantized[~tie])
+                assert np.all(np.abs(got.samples - quantized)[tie] <= 1.0)
 
 
 class TestFuseHfa:

@@ -257,6 +257,53 @@ class TestFcc:
         assert scaled == pytest.approx(base, abs=1e-9)
 
 
+class TestFccMemo:
+    def test_same_bits_as_unmemoised_pearson(self):
+        pan = seeded(12, 12, 50)
+        for k in range(3):
+            band = seeded(12, 12, 51 + k)
+            fresh = laplacian_hp(Raster(pan.samples.copy()))
+            assert fcc(band, pan) == pearson(laplacian_hp(band), fresh)
+
+    def test_zero_variance_pan_fails_on_every_call(self):
+        band = seeded(8, 8, 54)
+        pan = Raster.constant(8, 8, 100.0)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="undefined correlation"):
+                fcc(band, pan)
+
+    def test_memo_holds_the_pan_side_only(self):
+        band = seeded(8, 8, 55)
+        pan = seeded(8, 8, 56)
+        fcc(band, pan)
+        assert "_centred" in vars(laplacian_hp(pan))
+        assert "_centred" not in vars(laplacian_hp(band))
+
+    def test_memo_race_gives_equal_results(self):
+        bands = [seeded(64, 64, 57 + k) for k in range(4)]
+        pan = seeded(64, 64, 61)
+        barrier = threading.Barrier(4, timeout=10)
+        results = {}
+
+        def worker(k):
+            barrier.wait()
+            results[k] = fcc(bands[k], pan)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for k, band in enumerate(bands):
+            assert results[k] == fcc(band, Raster(pan.samples.copy()))
+
+
 class TestHpdi:
     def test_band_equal_to_pan(self):
         pan = seeded(8, 8, 21, lo=1.0)
