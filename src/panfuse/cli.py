@@ -269,10 +269,12 @@ def _load_pair(ms_path, pan_path) -> tuple[MultiBandImage, Raster]:
 def _thread_count(pair_count: int) -> int:
     env = os.environ.get(THREADS_ENV)
     if env is not None:
+        # Plain ASCII digits, the rule of PNM header integers and CSV
+        # counts: no sign, underscore, space or other form int() accepts.
         try:
-            threads = int(env)
-        except ValueError:
-            raise UsageError(f"{THREADS_ENV} must be a positive integer, got {env!r}") from None
+            threads = int(env) if env.isascii() and env.isdigit() else 0
+        except ValueError:  # more digits than int() converts
+            threads = 0
         if threads < 1:
             raise UsageError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
         return min(threads, pair_count)

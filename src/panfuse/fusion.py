@@ -164,29 +164,44 @@ def fuse_hfm(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     return _finalize(MultiBandImage(fused), quantize)
 
 
+def _pan_moments(pan: Raster):
+    """PAN's side of the OLS fit: None for a constant PAN, else its mean,
+    its centred plane and that plane's mean square."""
+    p = pan.samples.ravel()
+    if np.ptp(p) == 0.0:
+        return None
+    p_mean = np.mean(p)
+    dp = p - p_mean
+    return p_mean, dp, np.mean(dp ** 2)
+
+
+def _fit(moments, band: Raster) -> RegressionFit:
+    m = band.samples.ravel()
+    if moments is None:
+        return RegressionFit(slope=0.0, intercept=float(np.mean(m)))
+    p_mean, dp, p_var = moments
+    m_mean = np.mean(m)
+    slope = float(np.mean(dp * (m - m_mean)) / p_var)
+    return RegressionFit(slope=slope, intercept=float(m_mean - slope * p_mean))
+
+
 def fit_band_regression(pan: Raster, band: Raster) -> RegressionFit:
     """OLS fit of the MS band (response) against PAN (predictor).
 
     A constant PAN has zero variance; the fit degenerates to slope 0 with
     the band mean as intercept.
     """
-    p = pan.samples.ravel()
-    m = band.samples.ravel()
-    if np.ptp(p) == 0.0:
-        return RegressionFit(slope=0.0, intercept=float(np.mean(m)))
-    p_mean = np.mean(p)
-    m_mean = np.mean(m)
-    slope = float(np.mean((p - p_mean) * (m - m_mean)) / np.mean((p - p_mean) ** 2))
-    return RegressionFit(slope=slope, intercept=float(m_mean - slope * p_mean))
+    return _fit(_pan_moments(pan), band)
 
 
 def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
     """Regression variable substitution: each band becomes its OLS
-    prediction from PAN."""
+    prediction from PAN. PAN's moments are taken once for all bands."""
     _check_pair(ms, pan, "fuse_rvs")
+    moments = _pan_moments(pan)
     fused = []
     for b in ms.bands:
-        fit = fit_band_regression(pan, b)
+        fit = _fit(moments, b)
         fused.append(Raster(fit.intercept + fit.slope * pan.samples))
     return _finalize(MultiBandImage(tuple(fused)), quantize)
 

@@ -1,8 +1,9 @@
 """Core image representation, PNM I/O, resampling, statistics, quantization.
 
 All pixel data is carried as float64 digital numbers (DN). Quantization to
-the 8-bit grid happens only in :func:`clamp_quantize` and at save time, so
-fusion arithmetic never loses fractional intermediates.
+the 8-bit grid happens only in :func:`clamp_quantize`, which products pass
+through once, at the end of fusion or at save time, so fusion arithmetic
+never loses fractional intermediates.
 """
 
 from __future__ import annotations
@@ -265,7 +266,8 @@ def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:
     """Write binary P5 (single band) or P6 (exactly 3 bands) with maxval 255.
 
     Samples are clamp-quantized to the integer [0, 255] grid before
-    encoding, so ``load_pnm(save_pnm(x)) == clamp_quantize(x)``.
+    encoding, so ``load_pnm(save_pnm(x)) == clamp_quantize(x)``; a band
+    :func:`clamp_quantize` already returned is written as it is.
     """
     if isinstance(image, Raster):
         bands = (image,)
@@ -290,7 +292,10 @@ def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:
 def _resample_raster(r: Raster, target_w: int, target_h: int) -> Raster:
     rows = (np.arange(target_h, dtype=np.int64) * r.height) // target_h
     cols = (np.arange(target_w, dtype=np.int64) * r.width) // target_w
-    return Raster(r.samples[np.ix_(rows, cols)])
+    # One gather per axis: each ``take`` is a plain indexed copy, where
+    # ``np.ix_`` goes through the general broadcast fancy-index path. The
+    # result is a new C-contiguous array, so Raster keeps it uncopied.
+    return Raster(r.samples.take(cols, axis=1).take(rows, axis=0))
 
 
 def resample_nearest(image, target_w: int, target_h: int):
@@ -321,8 +326,22 @@ def band_stats(r: Raster) -> BandStats:
     return BandStats(mean=mean, std=std)
 
 
+# Memo key of the flag clamp_quantize sets on its results.
+_QUANTIZED = "_quantized"
+
+
 def clamp_quantize(r: Raster) -> Raster:
-    """Clamp to [0, 255] and round half-up to the integer DN grid."""
+    """Clamp to [0, 255] and round half-up to the integer DN grid.
+
+    A Raster this function returned is returned unchanged: each result
+    carries a True flag, memoised on it by :func:`memoised`. The flag is a
+    bool, not the Raster itself, so no reference cycle keeps the samples
+    alive past their last reference.
+    """
+    if r.__dict__.get(_QUANTIZED):
+        return r
     out = np.clip(r.samples, 0.0, 255.0)
     out += 0.5
-    return Raster(np.floor(out, out=out))
+    q = Raster(np.floor(out, out=out))
+    memoised(q, _QUANTIZED, lambda: True)
+    return q

@@ -561,6 +561,14 @@ class TestBatchCommand:
         assert main(["batch", "--manifest", str(manifest)]) == EXIT_USAGE
         assert "PANFUSE_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1_0", "+2", " 2", "2 ", "\u0663", "", "0", "00"])
+    def test_thread_env_plain_ascii_digits_only(self, value, tmp_path, capsys, monkeypatch):
+        manifest, _ = batch_manifest(tmp_path, n_pairs=1, methods=("SF",))
+        monkeypatch.setenv("PANFUSE_THREADS", value)
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_USAGE
+        assert "PANFUSE_THREADS must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_pair_label_in_log(self, tmp_path, capsys):
         d = tmp_path / "data"
         generate_pair(SyntheticSpec(seed=0, width=16, height=16, scale_factor=4), d)

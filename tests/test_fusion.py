@@ -37,7 +37,9 @@ from panfuse.raster import (
     Raster,
     band_stats,
     clamp_quantize,
+    load_pnm,
     resample_nearest,
+    save_pnm,
 )
 from panfuse.synthetic import SyntheticSpec, synthesize
 
@@ -475,6 +477,22 @@ class TestFuseRvs:
         for fused, band in zip(out.bands, ms.bands):
             assert np.allclose(fused.samples, np.mean(band.samples), atol=1e-12)
 
+    def test_same_bits_as_a_fit_per_band(self):
+        # PAN's moments are shared by the bands; each band must still get
+        # the bits of a fit that recentres PAN on its own.
+        ms, pan = synthetic_pair(7, size=32)
+        p = pan.samples.ravel()
+        want = []
+        for b in ms.bands:
+            m = b.samples.ravel()
+            p_mean, m_mean = np.mean(p), np.mean(m)
+            slope = float(np.mean((p - p_mean) * (m - m_mean)) / np.mean((p - p_mean) ** 2))
+            want.append(float(m_mean - slope * p_mean) + slope * pan.samples)
+        real, quantized = fuse_rvs(ms, pan, quantize=False), fuse_rvs(ms, pan)
+        for w, r, q in zip(want, real.bands, quantized.bands):
+            np.testing.assert_array_equal(r.samples, w)
+            np.testing.assert_array_equal(q.samples, clamp_quantize(Raster(w)).samples)
+
 
 class TestFuseEf:
     def test_constant_pan_passthrough(self):
@@ -525,6 +543,27 @@ class TestDispatch:
         via_dispatch = fuse("HFA", coarse, pan)
         direct = fuse_hfa(resample_nearest(coarse, 16, 16), pan)
         assert bands_equal(via_dispatch, direct)
+
+
+class TestSaveFusedProduct:
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_saved_without_building_a_raster(self, method, tmp_path, monkeypatch):
+        ms, pan = synthetic_pair(9, size=16)
+        fused, real = fuse(method, ms, pan), fuse_ef(ms, pan, quantize=False)
+        built = []
+        post_init = Raster.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(Raster, "__post_init__", counting)
+        save_pnm(fused, tmp_path / "product.ppm")
+        assert built == []
+        save_pnm(real, tmp_path / "real.ppm")
+        assert built == [1, 1, 1]  # an unquantized product is quantized first
+        monkeypatch.undo()
+        assert bands_equal(load_pnm(tmp_path / "product.ppm"), fused)
 
 
 class TestSelfFusionAcrossMethods:

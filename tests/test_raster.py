@@ -1,6 +1,10 @@
 """Raster containers, PNM I/O, resampling, statistics, quantization."""
 
+import gc
 import math
+import tempfile
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +174,30 @@ class TestClampQuantize:
         twice = clamp_quantize(once)
         assert np.array_equal(once.samples, twice.samples)
 
+    def test_quantized_raster_returned_unchanged(self):
+        q = clamp_quantize(Raster(np.array([[-3.2, 12.5, 270.0]])))
+        assert clamp_quantize(q) is q
+
+    def test_on_grid_raster_built_by_hand_gets_a_new_equal_raster(self):
+        r = Raster(np.array([[0.0, 13.0, 255.0]]))
+        q = clamp_quantize(r)
+        assert q is not r
+        assert np.array_equal(q.samples, r.samples)
+
+    def test_quantized_raster_freed_by_reference_counting(self):
+        # The quantized flag must not refer back to the Raster: a cycle
+        # would keep every product alive until the cyclic GC ran.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            q = clamp_quantize(clamp_quantize(Raster(np.full((4, 4), 7.4))))
+            ref = weakref.ref(q)
+            del q
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     @given(
         st.lists(st.floats(-500, 800), min_size=2, max_size=16),
     )
@@ -256,6 +284,36 @@ class TestResampleNearest:
         out = resample_nearest(r, tw, th)
         assert set(out.samples.ravel()) <= set(r.samples.ravel())
         assert out.samples.tolist() == resample_oracle(r.samples.tolist(), tw, th)
+
+
+@st.composite
+def resample_cases(draw):
+    """A 1-7 x 1-7 Raster or 3-band image and a target up to 3x per axis,
+    each axis drawn on its own, so ratios are non-integer and unequal."""
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    th, tw = draw(st.integers(h, 3 * h)), draw(st.integers(w, 3 * w))
+    values = st.lists(st.floats(-1e6, 1e6), min_size=h * w, max_size=h * w)
+    planes = [
+        Raster(np.array(draw(values)).reshape(h, w))
+        for _ in range(draw(st.sampled_from((1, 3))))
+    ]
+    image = planes[0] if len(planes) == 1 else MultiBandImage(tuple(planes))
+    return image, tw, th
+
+
+class TestResampleProperties:
+    @given(resample_cases())
+    @settings(deadline=None)
+    def test_matches_oracle_and_owns_frozen_samples(self, case):
+        image, tw, th = case
+        out = resample_nearest(image, tw, th)
+        assert type(out) is type(image)
+        pairs = [(image, out)] if isinstance(image, Raster) else zip(image.bands, out.bands)
+        for src, band in pairs:
+            assert band.samples.tolist() == resample_oracle(src.samples.tolist(), tw, th)
+            assert band.samples.base is None
+            assert band.samples.flags.c_contiguous
+            assert not band.samples.flags.writeable
 
 
 class TestLoadPnm:
@@ -470,6 +528,17 @@ class TestSavePnm:
         r = Raster(np.array([[-5.0, 12.5, 300.0]]))
         save_pnm(r, p)
         assert np.array_equal(load_pnm(p).samples, clamp_quantize(r).samples)
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=16))
+    @settings(deadline=None)
+    def test_round_trip_is_clamp_quantize_once_or_twice(self, values):
+        r = Raster(np.array([values]))
+        want = clamp_quantize(r).samples
+        with tempfile.TemporaryDirectory() as d:
+            for x in (r, clamp_quantize(r)):
+                path = Path(d) / "r.pgm"
+                save_pnm(x, path)
+                assert np.array_equal(load_pnm(path).samples, want)
 
     def test_rejects_other_band_counts(self, tmp_path):
         two = MultiBandImage(tuple(Raster(np.zeros((2, 2))) for _ in range(2)))
