@@ -1,11 +1,9 @@
 """Pan-sharpening toolkit: fusion methods, quality metrics, PNM I/O."""
 
 from .raster import (
-    BandStats,
     MultiBandImage,
     PnmError,
     Raster,
-    band_stats,
     clamp_quantize,
     load_pnm,
     resample_nearest,

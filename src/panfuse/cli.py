@@ -121,10 +121,10 @@ def _is_real(value) -> bool:
 
 def _pair_id(entry: dict, where: str) -> str:
     """The pair id names the pair's output directory, so it must be one
-    plain path component that stays inside ``output_dir``; an absolute
-    path always contains a separator."""
+    plain path component that stays inside ``output_dir`` and that the
+    OS can open (no NUL); an absolute path always contains a separator."""
     pair_id = _manifest_str(entry, "pair_id", where)
-    if "/" in pair_id or "\\" in pair_id or pair_id in (".", ".."):
+    if any(c in pair_id for c in "/\\\0") or pair_id in (".", ".."):
         raise UsageError(f"{where}: 'pair_id' must be a plain file name, got {pair_id!r}")
     if pair_id == _CSV_NAME:
         raise UsageError(f"{where}: 'pair_id' {pair_id!r} is reserved for the metrics table")
@@ -195,6 +195,8 @@ def load_manifest(path) -> BatchManifest:
 
     if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
         raise UsageError("'output_dir' must be a non-empty string")
+    if "\0" in raw["output_dir"]:
+        raise UsageError("'output_dir' must not contain a NUL character")
     base = manifest_path.parent
     output_dir = base / raw["output_dir"]
 

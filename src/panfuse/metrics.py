@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .filtering import laplacian_hp, window3x3
-from .raster import MultiBandImage, Raster, memoised
+from .raster import MultiBandImage, Raster, memoised, moments
 
 __all__ = [
     "MetricRecord",
@@ -101,11 +101,10 @@ def nrmse(f: Raster, m: Raster) -> float:
 
 
 def _centred(r: Raster) -> tuple[np.ndarray, float]:
-    """The flattened samples minus their mean, and their population std."""
-    y = r.samples.ravel()
-    dy = y - np.mean(y)
+    """The samples minus their mean, read-only, and their population std."""
+    _, dy, variance = moments(r.samples)
     dy.flags.writeable = False
-    return dy, math.sqrt(float(np.mean(dy ** 2)))
+    return dy, math.sqrt(variance)
 
 
 def _correlate(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:

@@ -1,4 +1,5 @@
-"""Core image representation, PNM I/O, resampling, statistics, quantization.
+"""Core image representation, PNM I/O, resampling, population moments,
+quantization.
 
 All pixel data is carried as float64 digital numbers (DN). Quantization to
 the 8-bit grid happens only in :func:`clamp_quantize`, which products pass
@@ -18,12 +19,11 @@ import numpy as np
 __all__ = [
     "Raster",
     "MultiBandImage",
-    "BandStats",
     "PnmError",
     "load_pnm",
     "save_pnm",
     "resample_nearest",
-    "band_stats",
+    "moments",
     "clamp_quantize",
 ]
 
@@ -117,18 +117,6 @@ class MultiBandImage:
     @property
     def band_count(self) -> int:
         return len(self.bands)
-
-
-@dataclass(frozen=True)
-class BandStats:
-    """Population mean and standard deviation of a raster, in DN."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("std must be >= 0")
 
 
 class PnmError(ValueError):
@@ -319,11 +307,13 @@ def resample_nearest(image, target_w: int, target_h: int):
     )
 
 
-def band_stats(r: Raster) -> BandStats:
-    """Population mean and standard deviation (divisor n*m)."""
-    mean = float(np.mean(r.samples))
-    std = float(np.sqrt(np.mean((r.samples - mean) ** 2)))
-    return BandStats(mean=mean, std=std)
+def moments(a: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Population moments of ``a``: the mean of its samples, ``a`` minus
+    that mean (a new array of ``a``'s shape), and the centred samples'
+    mean square, the variance (divisor n)."""
+    mean = float(np.mean(a))
+    centred = a - mean
+    return mean, centred, float(np.mean(centred ** 2))
 
 
 # Memo key of the flag clamp_quantize sets on its results.

@@ -81,6 +81,11 @@ def read_csv(path) -> list[MetricRecord]:
                         f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
                     )
                 pair_id, method, band, metric, value_s, excluded_s = row
+                # A band is "avg" or a 1-based index in plain ASCII digits.
+                if band != "avg" and not (
+                    band.isascii() and band.isdigit() and band.strip("0")
+                ):
+                    raise ValueError(f"line {line}: bad band {band!r}")
                 try:
                     value = float(value_s)
                 except ValueError:

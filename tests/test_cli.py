@@ -359,7 +359,9 @@ class TestManifestValidation:
         err = self.error(pair_dir, payload, capsys)
         assert "pairs[0]: ms_resolution_m must be >= pan_resolution_m" in err
 
-    @pytest.mark.parametrize("pair_id", ["../escaped", "..", ".", "a/b", "a\\b", "/tmp/abs"])
+    @pytest.mark.parametrize(
+        "pair_id", ["../escaped", "..", ".", "a/b", "a\\b", "/tmp/abs", "a\u0000b"]
+    )
     def test_pair_id_must_be_one_path_component(self, pair_dir, capsys, pair_id):
         payload = {
             "pairs": [{"pair_id": pair_id, "ms_path": "ms.ppm", "pan_path": "pan.pgm"}],
@@ -370,6 +372,24 @@ class TestManifestValidation:
         assert "pairs[0]: 'pair_id' must be a plain file name" in err
         assert not (pair_dir / "out").exists()
         assert not (pair_dir / "escaped").exists()
+
+    @pytest.mark.parametrize(
+        "output_dir, message",
+        [
+            ("", "'output_dir' must be a non-empty string"),
+            (7, "'output_dir' must be a non-empty string"),
+            ("out\u0000x", "'output_dir' must not contain a NUL character"),
+        ],
+        ids=["empty", "number", "nul"],
+    )
+    def test_bad_output_dir(self, pair_dir, capsys, output_dir, message):
+        payload = {
+            "pairs": [{"pair_id": "p", "ms_path": "ms.ppm", "pan_path": "pan.pgm"}],
+            "methods": ["SF"],
+            "output_dir": output_dir,
+        }
+        assert self.error(pair_dir, payload, capsys) == f"error: {message}\n"
+        assert not (pair_dir / "out").exists()
 
     def test_pair_id_may_not_be_the_metrics_table(self, tmp_path, capsys):
         _, payload = batch_manifest(tmp_path, n_pairs=2)
@@ -631,6 +651,16 @@ class TestReportCommand:
         csv.write_text("pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,0.5,-5\n")
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: line 2: bad excluded_pixels '-5'\n"
+        assert not (pair_dir / "c").exists()
+
+    def test_bad_band_is_usage_error(self, pair_dir, capsys):
+        csv = pair_dir / "m.csv"
+        csv.write_text(
+            "pair_id,method,band,metric,value,excluded_pixels\n"
+            "p,SF,1,DI,0.5,0\np,SF,banana,DI,0.5,0\n"
+        )
+        assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: line 3: bad band 'banana'\n"
         assert not (pair_dir / "c").exists()
 
     def test_oversized_field_is_usage_error(self, pair_dir, capsys):

@@ -18,8 +18,6 @@ from panfuse.colorspace import HsvPlanes, hsv_forward, hsv_inverse, ihs_forward,
 from panfuse.fusion import (
     FUSION_METHODS,
     METHOD_NAMES,
-    RegressionFit,
-    fit_band_regression,
     fuse,
     fuse_ef,
     fuse_hfa,
@@ -32,10 +30,8 @@ from panfuse.fusion import (
     normalize_method,
 )
 from panfuse.raster import (
-    BandStats,
     MultiBandImage,
     Raster,
-    band_stats,
     clamp_quantize,
     load_pnm,
     resample_nearest,
@@ -169,52 +165,57 @@ def constant_ms(w, h, values=(40.0, 90.0, 200.0)):
 
 class TestMatchMeanStd:
     def test_identity_when_stats_already_match(self):
-        src = Raster(np.array([[0.0, 2.0]]))
-        out = match_mean_std(src, BandStats(mean=1.0, std=1.0))
-        assert np.allclose(out.samples, src.samples, atol=1e-12)
+        src = np.array([[0.0, 2.0]])
+        out = match_mean_std(src, np.array([[2.0, 0.0]]))  # mean 1, std 1
+        assert np.allclose(out, src, atol=1e-12)
 
     def test_hand_computed(self):
-        src = Raster(np.array([[0.0, 2.0]]))
-        out = match_mean_std(src, BandStats(mean=10.0, std=2.0))
-        assert np.allclose(out.samples, [[8.0, 12.0]], atol=1e-12)
+        out = match_mean_std(np.array([[0.0, 2.0]]), np.array([[12.0, 8.0]]))  # mean 10, std 2
+        assert np.allclose(out, [[8.0, 12.0]], atol=1e-12)
 
     def test_degenerate_source_maps_to_constant(self):
-        src = Raster.constant(3, 3, 42.0)
-        out = match_mean_std(src, BandStats(mean=50.0, std=5.0))
-        assert np.all(out.samples == 50.0)
+        out = match_mean_std(np.full((3, 3), 42.0), np.array([[45.0, 55.0]]))  # mean 50
+        assert out.shape == (3, 3)
+        assert np.all(out == 50.0)
 
     def test_result_stats(self):
         rng = np.random.default_rng(2)
-        src = Raster(rng.uniform(0, 255, (12, 12)))
-        out = match_mean_std(src, BandStats(mean=100.0, std=30.0))
-        stats = band_stats(out)
-        assert stats.mean == pytest.approx(100.0, abs=1e-9)
-        assert stats.std == pytest.approx(30.0, abs=1e-9)
+        src = rng.uniform(0, 255, (12, 12))
+        out = match_mean_std(src, np.array([[70.0, 130.0]]))  # mean 100, std 30
+        assert out.shape == src.shape
+        mean, std = mean_std_oracle(out)
+        assert mean == pytest.approx(100.0, abs=1e-9)
+        assert std == pytest.approx(30.0, abs=1e-9)
+
+
+def rvs_band(pan, band):
+    """``fuse_rvs``'s real-valued prediction of one band from PAN."""
+    return fuse_rvs(MultiBandImage((band,)), pan, quantize=False).bands[0].samples
 
 
 class TestFitBandRegression:
+    """The least-squares fit inside ``fuse_rvs``, seen through the band
+    values it predicts."""
+
     def test_exact_linear_relation(self):
         rng = np.random.default_rng(4)
         p = Raster(rng.uniform(0, 100, (8, 8)))
         m = Raster(2.0 * p.samples + 5.0)
-        fit = fit_band_regression(p, m)
-        assert fit.slope == pytest.approx(2.0, abs=1e-9)
-        assert fit.intercept == pytest.approx(5.0, abs=1e-9)
+        assert np.allclose(rvs_band(p, m), 5.0 + 2.0 * p.samples, rtol=0, atol=1e-9)
 
     def test_constant_pan_degenerates(self):
         p = Raster.constant(4, 4, 9.0)
         m = Raster(np.arange(16, dtype=np.float64).reshape(4, 4))
-        fit = fit_band_regression(p, m)
-        assert fit == RegressionFit(slope=0.0, intercept=7.5)
+        assert np.all(rvs_band(p, m) == 7.5)  # slope 0, intercept the band mean
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(6)
         p = Raster(rng.uniform(0, 255, (32, 32)))
         m = Raster(1.5 * p.samples + 20.0 + rng.normal(0, 4, (32, 32)))
-        fit = fit_band_regression(p, m)
         slope, intercept = normal_equations_oracle(p.samples, m.samples)
-        assert fit.slope == pytest.approx(slope, abs=1e-9)
-        assert fit.intercept == pytest.approx(intercept, abs=1e-9)
+        np.testing.assert_allclose(
+            rvs_band(p, m), intercept + slope * p.samples, rtol=0, atol=1e-9
+        )
 
 
 class TestFuseSf:
@@ -269,9 +270,9 @@ class TestFuseIhs:
         ms = MultiBandImage((gray, gray, gray))
         pan = Raster(np.floor(rng.uniform(0, 256, (8, 8))))
         out = fuse_ihs(ms, pan, quantize=False)
-        matched = match_mean_std(pan, band_stats(gray))
+        matched = match_mean_std(pan.samples, gray.samples)
         for band in out.bands:
-            assert np.allclose(band.samples, matched.samples, atol=1e-9)
+            assert np.allclose(band.samples, matched, atol=1e-9)
 
     def test_matches_straight_line_oracle(self):
         ms, pan = synthetic_pair(9, size=16)
@@ -322,13 +323,14 @@ class TestFuseHsv:
 def transform_ihs(ms, pan):
     """IHS fusion by colorspace's forward and inverse transforms."""
     planes = ihs_forward(ms)
-    return ihs_inverse(planes.with_intensity(match_mean_std(pan, band_stats(planes.i))))
+    matched = match_mean_std(pan.samples, planes.i.samples)
+    return ihs_inverse(planes.with_intensity(Raster(matched)))
 
 
 def transform_hsv(ms, pan):
     """HSV fusion by colorspace's hexcone forward and inverse transforms."""
     planes = hsv_forward(ms)
-    matched = np.clip(match_mean_std(pan, band_stats(planes.v)).samples, 0.0, 255.0)
+    matched = np.clip(match_mean_std(pan.samples, planes.v.samples), 0.0, 255.0)
     return hsv_inverse(HsvPlanes(h=planes.h, s=planes.s, v=Raster(matched)))
 
 
@@ -376,7 +378,7 @@ class TestClosedFormsMatchTransforms:
     def test_example_clips_at_both_ends(self):
         ms, pan = BLACK_GRAY_CLIPPED
         v = hsv_forward(ms).v
-        matched = match_mean_std(pan, band_stats(v)).samples
+        matched = match_mean_std(pan.samples, v.samples)
         assert matched.min() < 0.0 and matched.max() > 255.0
         assert np.any(v.samples == 0.0)
         assert np.any((v.samples > 0.0) & (hsv_forward(ms).s.samples == 0.0))

@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from panfuse.filtering import laplacian_hp
 from panfuse.raster import (
-    BandStats,
     MultiBandImage,
     PnmError,
     Raster,
-    band_stats,
     clamp_quantize,
     load_pnm,
+    moments,
     resample_nearest,
     save_pnm,
 )
@@ -147,12 +146,6 @@ class TestMultiBandImage:
             MultiBandImage(())
 
 
-class TestBandStatsType:
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            BandStats(mean=1.0, std=-0.1)
-
-
 class TestClampQuantize:
     def test_clamps_and_rounds(self):
         r = Raster(np.array([[-3.2, 12.5, 270.0]]))
@@ -209,21 +202,27 @@ class TestClampQuantize:
 
 
 class TestBandStats:
+    """Population moments of a band: ``moments`` gives (mean, centred
+    samples, variance)."""
+
     def test_constant(self):
-        stats = band_stats(Raster.constant(4, 4, 9.0))
-        assert (stats.mean, stats.std) == (9.0, 0.0)
+        mean, centred, variance = moments(Raster.constant(4, 4, 9.0).samples)
+        assert (mean, variance) == (9.0, 0.0)
+        assert np.array_equal(centred, np.zeros((4, 4)))
 
     def test_two_values(self):
-        stats = band_stats(Raster(np.array([[0.0, 2.0]])))
-        assert (stats.mean, stats.std) == (1.0, 1.0)
+        mean, centred, variance = moments(np.array([[0.0, 2.0]]))
+        assert (mean, variance) == (1.0, 1.0)
+        assert centred.tolist() == [[-1.0, 1.0]]
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(11)
         samples = rng.uniform(0, 255, (8, 8))
-        stats = band_stats(Raster(samples))
+        got_mean, centred, variance = moments(Raster(samples).samples)
         mean, std = stats_oracle(samples.tolist())
-        assert stats.mean == pytest.approx(mean, rel=1e-12)
-        assert stats.std == pytest.approx(std, rel=1e-12)
+        assert got_mean == pytest.approx(mean, rel=1e-12)
+        assert math.sqrt(variance) == pytest.approx(std, rel=1e-12)
+        np.testing.assert_allclose(centred, samples - mean, rtol=0, atol=1e-12)
 
     @given(small_rasters(), st.randoms(use_true_random=False))
     @settings(deadline=None)
@@ -231,9 +230,9 @@ class TestBandStats:
         flat = list(r.samples.ravel())
         rand.shuffle(flat)
         shuffled = Raster(np.array(flat).reshape(r.samples.shape))
-        a, b = band_stats(r), band_stats(shuffled)
-        assert a.mean == pytest.approx(b.mean, abs=1e-9)
-        assert a.std == pytest.approx(b.std, abs=1e-9)
+        (a_mean, _, a_var), (b_mean, _, b_var) = moments(r.samples), moments(shuffled.samples)
+        assert a_mean == pytest.approx(b_mean, abs=1e-9)
+        assert math.sqrt(a_var) == pytest.approx(math.sqrt(b_var), abs=1e-9)
 
 
 class TestResampleNearest:

@@ -133,6 +133,16 @@ class TestReadCsvErrors:
             read_csv(path)
 
 
+    @pytest.mark.parametrize(
+        "band", ["banana", "", "0", "00", "-1", "+1", " 1", "1_0", "\u0663", "AVG"]
+    )
+    def test_band_must_be_avg_or_an_index(self, tmp_path, band):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,{band},DI,0.5,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 3: bad band {band!r}")):
+            read_csv(path)
+
+
 class TestChartValues:
     def test_avg_row_preferred_over_band_rows(self):
         metrics, pairs, methods, values = chart_values(SAMPLE)
