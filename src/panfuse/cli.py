@@ -20,7 +20,7 @@ from typing import get_args, get_type_hints
 from .fusion import METHOD_NAMES, fuse, normalize_method
 from .metrics import DEFAULT_CSA_PERCENTILE, MetricRecord, evaluate_all
 from .raster import MultiBandImage, Raster, load_pnm, resample_nearest, save_pnm
-from .report import read_csv, render_reports, write_csv
+from .report import plain_file_name, read_csv, render_reports, write_csv
 from .synthetic import SyntheticSpec, generate_pair
 
 __all__ = [
@@ -120,11 +120,10 @@ def _is_real(value) -> bool:
 
 
 def _pair_id(entry: dict, where: str) -> str:
-    """The pair id names the pair's output directory, so it must be one
-    plain path component that stays inside ``output_dir`` and that the
-    OS can open (no NUL); an absolute path always contains a separator."""
+    """The pair id names the pair's output directory inside
+    ``output_dir``, so it must be a plain file name."""
     pair_id = _manifest_str(entry, "pair_id", where)
-    if any(c in pair_id for c in "/\\\0") or pair_id in (".", ".."):
+    if not plain_file_name(pair_id):
         raise UsageError(f"{where}: 'pair_id' must be a plain file name, got {pair_id!r}")
     if pair_id == _CSV_NAME:
         raise UsageError(f"{where}: 'pair_id' {pair_id!r} is reserved for the metrics table")

@@ -5,13 +5,20 @@ and the CSA local contrast are built on.
 Edge handling is replicate (clamp-to-border) everywhere, so constant images
 pass through filters unchanged and weight-sum-zero filters respond with
 exact zeros on integral DN data.
+
+A Raster on the 8-bit grid (``raster.dn8``: a ``clamp_quantize`` result or
+a band loaded from a maxval-255 file) is filtered in int16, which holds
+the largest window sum, 9 * 255 = 2295. Every partial sum, difference,
+minimum and maximum is then an exact integer, as it is in float64 on
+integral DN, so the results are the float path's bits at a quarter of the
+bytes per pixel. Any other Raster is filtered in float64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .raster import Raster, memoised
+from .raster import Raster, dn8, memoised
 
 __all__ = ["box_lpf", "unsharp_mask", "laplacian_hp"]
 
@@ -36,9 +43,16 @@ def window3x3(x: np.ndarray, *reductions) -> list[np.ndarray]:
     return out
 
 
+def stencil_input(r: Raster) -> np.ndarray:
+    """The array a 3x3 stencil reads for ``r``: its 8-bit grid samples as
+    int16 when it has them, else its float64 samples."""
+    dn = dn8(r)
+    return r.samples if dn is None else dn.astype(np.int16)
+
+
 def box_lpf(r: Raster) -> Raster:
     """Uniform 3x3 local average (the low-pass half of unsharp masking)."""
-    return Raster(window3x3(r.samples, np.add)[0] / 9.0)
+    return Raster(window3x3(stencil_input(r), np.add)[0] / 9.0)
 
 
 def unsharp_mask(p: Raster) -> Raster:
@@ -55,6 +69,8 @@ def laplacian_hp(r: Raster) -> Raster:
     helper's: instance dict, ``setdefault``, no lock, so racing threads
     may both compute and the first result is kept.
     """
-    return memoised(
-        r, "_laplacian_hp", lambda: Raster(9.0 * r.samples - window3x3(r.samples, np.add)[0])
-    )
+    def compute() -> Raster:
+        a = stencil_input(r)
+        return Raster(9 * a - window3x3(a, np.add)[0])
+
+    return memoised(r, "_laplacian_hp", compute)

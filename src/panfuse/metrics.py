@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .filtering import laplacian_hp, window3x3
+from .filtering import laplacian_hp, stencil_input, window3x3
 from .raster import MultiBandImage, Raster, memoised, moments
 
 __all__ = [
@@ -150,9 +150,10 @@ def hpdi(fused_band: Raster, pan: Raster) -> tuple[float, int]:
 
 
 def _local_michelson(band: Raster) -> np.ndarray:
-    lo, hi = window3x3(band.samples, np.minimum, np.maximum)
+    lo, hi = window3x3(stencil_input(band), np.minimum, np.maximum)
     total = hi + lo
-    contrast = np.zeros_like(total)
+    # Not zeros_like: on int16 input the float64 quotient needs its own dtype.
+    contrast = np.zeros(total.shape)
     np.divide(hi - lo, total, out=contrast, where=total != 0.0)
     return contrast
 

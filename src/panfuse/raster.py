@@ -5,6 +5,13 @@ All pixel data is carried as float64 digital numbers (DN). Quantization to
 the 8-bit grid happens only in :func:`clamp_quantize`, which products pass
 through once, at the end of fusion or at save time, so fusion arithmetic
 never loses fractional intermediates.
+
+A Raster known to lie on that grid also carries its samples as read-only
+uint8, returned by :func:`dn8`: every :func:`clamp_quantize` result and
+every band :func:`load_pnm` reads from a maxval-255 file. Hand-built
+rasters, 16-bit or other-maxval loads and resample outputs carry none.
+The 3x3 stencils in ``filtering`` run on the uint8 samples in exact int16
+arithmetic, with the same float64 results as the float path.
 """
 
 from __future__ import annotations
@@ -84,6 +91,27 @@ def memoised(r: Raster, key: Hashable, compute: Callable[[], T]) -> T:
     if value is None:
         value = r.__dict__.setdefault(key, compute())
     return value
+
+
+# Memo key of the read-only uint8 samples of a Raster on the 8-bit grid.
+_DN8 = "_dn8"
+
+
+def dn8(r: Raster):
+    """``r``'s samples as a read-only uint8 array when ``r`` is known to lie
+    on the 8-bit grid (a :func:`clamp_quantize` result or a band loaded from
+    a maxval-255 file), else None. The values equal ``r.samples``."""
+    return r.__dict__.get(_DN8)
+
+
+def _with_dn8(r: Raster, dn: np.ndarray) -> Raster:
+    """``r``, with ``dn`` (its samples as uint8) made read-only and
+    memoised on it by :func:`memoised`. The array does not refer back to
+    ``r``, so no reference cycle keeps the samples alive past their last
+    reference."""
+    dn.flags.writeable = False
+    memoised(r, _DN8, lambda: dn)
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,11 +271,20 @@ def load_pnm(path) -> Union[Raster, MultiBandImage]:
                 f"truncated payload: expected {count} samples, got {len(samples)}",
                 len(data),
             )
-    shape = (height, width) if channels == 1 else (height, width, 3)
-    values = values.reshape(shape) * 255.0 / maxval
+    values = values.reshape((height, width) if channels == 1 else (height, width, 3))
     if channels == 1:
-        return Raster(values)
-    return MultiBandImage(tuple(Raster(values[:, :, c]) for c in range(3)))
+        return _loaded_band(values, maxval)
+    return MultiBandImage(tuple(_loaded_band(values[:, :, c], maxval) for c in range(3)))
+
+
+def _loaded_band(values: np.ndarray, maxval: int) -> Raster:
+    """One band of a PNM payload, rescaled to [0, 255]. A maxval-255 band
+    keeps its samples as uint8 (see :func:`dn8`): a view of the payload for
+    a binary file, a cast for an ASCII one."""
+    r = Raster(values * 255.0 / maxval)
+    if maxval != 255:
+        return r
+    return _with_dn8(r, values.astype(np.uint8, copy=False))
 
 
 def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:
@@ -266,7 +303,7 @@ def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:
     if len(bands) not in (1, 3):
         raise ValueError(f"unsupported band count {len(bands)} (must be 1 or 3)")
 
-    quantized = [clamp_quantize(b).samples.astype(np.uint8) for b in bands]
+    quantized = [dn8(clamp_quantize(b)) for b in bands]
     w, h = bands[0].width, bands[0].height
     magic = b"P5" if len(bands) == 1 else b"P6"
     header = magic + f"\n{w} {h}\n255\n".encode("ascii")
@@ -316,22 +353,15 @@ def moments(a: np.ndarray) -> tuple[float, np.ndarray, float]:
     return mean, centred, float(np.mean(centred ** 2))
 
 
-# Memo key of the flag clamp_quantize sets on its results.
-_QUANTIZED = "_quantized"
-
-
 def clamp_quantize(r: Raster) -> Raster:
     """Clamp to [0, 255] and round half-up to the integer DN grid.
 
-    A Raster this function returned is returned unchanged: each result
-    carries a True flag, memoised on it by :func:`memoised`. The flag is a
-    bool, not the Raster itself, so no reference cycle keeps the samples
-    alive past their last reference.
+    A Raster on the grid (see :func:`dn8`) is returned unchanged; each
+    result carries its samples as uint8.
     """
-    if r.__dict__.get(_QUANTIZED):
+    if dn8(r) is not None:
         return r
     out = np.clip(r.samples, 0.0, 255.0)
     out += 0.5
     q = Raster(np.floor(out, out=out))
-    memoised(q, _QUANTIZED, lambda: True)
-    return q
+    return _with_dn8(q, q.samples.astype(np.uint8))

@@ -18,6 +18,7 @@ from .metrics import METRIC_ORDER, MetricRecord, band_average
 
 __all__ = [
     "CSV_HEADER",
+    "plain_file_name",
     "write_csv",
     "read_csv",
     "chart_values",
@@ -37,6 +38,14 @@ _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
+
+
+def plain_file_name(name: str) -> bool:
+    """Whether ``name`` is one plain path component that the OS can open
+    and that stays inside its directory: non-empty, no ``/``, ``\\`` or
+    NUL, and neither ``.`` nor ``..``. An absolute path always contains a
+    separator."""
+    return bool(name) and not any(c in name for c in "/\\\0") and name not in (".", "..")
 
 
 def write_csv(records: list[MetricRecord], path, append: bool = False) -> None:
@@ -81,6 +90,9 @@ def read_csv(path) -> list[MetricRecord]:
                         f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
                     )
                 pair_id, method, band, metric, value_s, excluded_s = row
+                # A metric names its chart file in the report directory.
+                if not plain_file_name(metric):
+                    raise ValueError(f"line {line}: bad metric {metric!r}")
                 # A band is "avg" or a 1-based index in plain ASCII digits.
                 if band != "avg" and not (
                     band.isascii() and band.isdigit() and band.strip("0")

@@ -663,6 +663,18 @@ class TestReportCommand:
         assert capsys.readouterr().err == "error: line 3: bad band 'banana'\n"
         assert not (pair_dir / "c").exists()
 
+    @pytest.mark.parametrize("metric", ["../escaped", "a/b", ""])
+    def test_metric_that_is_not_a_file_name_is_usage_error(self, pair_dir, capsys, metric):
+        csv = pair_dir / "m.csv"
+        csv.write_text(
+            "pair_id,method,band,metric,value,excluded_pixels\n"
+            f"p,SF,1,DI,0.5,0\np,SF,1,{metric},0.5,0\n"
+        )
+        before = sorted(pair_dir.rglob("*"))
+        assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: line 3: bad metric {metric!r}\n"
+        assert sorted(pair_dir.rglob("*")) == before
+
     def test_oversized_field_is_usage_error(self, pair_dir, capsys):
         csv = pair_dir / "m.csv"
         csv.write_text(

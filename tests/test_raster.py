@@ -17,6 +17,7 @@ from panfuse.raster import (
     PnmError,
     Raster,
     clamp_quantize,
+    dn8,
     load_pnm,
     moments,
     resample_nearest,
@@ -186,6 +187,22 @@ class TestClampQuantize:
             q = clamp_quantize(clamp_quantize(Raster(np.full((4, 4), 7.4))))
             ref = weakref.ref(q)
             del q
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_loaded_raster_freed_by_reference_counting(self, tmp_path):
+        # The loaded band's uint8 samples are a view of the file payload,
+        # which must not refer back to the Raster either.
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5\n2 1\n255\n" + bytes([10, 250]))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            r = clamp_quantize(load_pnm(p))
+            ref = weakref.ref(r)
+            del r
             assert ref() is None
         finally:
             if enabled:
@@ -500,6 +517,74 @@ class TestLoadPnm:
         p.write_bytes(b"")
         with pytest.raises(PnmError, match="empty file"):
             load_pnm(p)
+
+
+EIGHT_BIT_FILES = {
+    "P2": b"P2\n3 2\n255\n0 7 255\n128 64 1\n",
+    "P3": b"P3\n2 1\n255\n0 7 255 128 64 1\n",
+    "P5": b"P5\n3 2\n255\n" + bytes([0, 7, 255, 128, 64, 1]),
+    "P6": b"P6\n2 1\n255\n" + bytes([0, 7, 255, 128, 64, 1]),
+}
+
+
+def bands_of(image):
+    return [image] if isinstance(image, Raster) else list(image.bands)
+
+
+class TestDn8:
+    """Which Rasters carry their samples on the 8-bit grid as uint8."""
+
+    @staticmethod
+    def assert_on_grid(r):
+        dn = dn8(r)
+        assert dn.dtype == np.uint8
+        assert not dn.flags.writeable
+        with pytest.raises(ValueError):
+            dn[0, 0] = 1
+        assert np.array_equal(dn, r.samples)
+
+    def test_clamp_quantize_result(self):
+        self.assert_on_grid(clamp_quantize(Raster(np.array([[-3.2, 12.5, 270.0]]))))
+
+    @pytest.mark.parametrize("magic", sorted(EIGHT_BIT_FILES))
+    def test_maxval_255_loads(self, tmp_path, magic):
+        p = tmp_path / "a.pnm"
+        p.write_bytes(EIGHT_BIT_FILES[magic])
+        loaded = load_pnm(p)
+        for band in bands_of(loaded):
+            self.assert_on_grid(band)
+            assert clamp_quantize(band) is band
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P5\n2 1\n65535\n" + bytes([0xFF, 0xFF, 0x01, 0x01]),
+            b"P2\n2 1\n65535\n65535 257\n",
+            b"P5\n2 1\n15\n" + bytes([15, 3]),
+            b"P3\n1 1\n100\n100 0 50\n",
+            b"P2\n2 1\n1\n1 0\n",
+        ],
+    )
+    def test_absent_after_other_maxval_loads(self, tmp_path, data):
+        p = tmp_path / "a.pnm"
+        p.write_bytes(data)
+        for band in bands_of(load_pnm(p)):
+            assert dn8(band) is None
+
+    def test_absent_on_hand_built_and_resampled_rasters(self, tmp_path):
+        assert dn8(Raster(np.array([[0.0, 13.0, 255.0]]))) is None
+        p = tmp_path / "a.pgm"
+        p.write_bytes(EIGHT_BIT_FILES["P5"])
+        for r in (load_pnm(p), clamp_quantize(Raster(np.array([[1.0, 2.0]])))):
+            assert dn8(r) is not None
+            assert dn8(resample_nearest(r, 2 * r.width, 2 * r.height)) is None
+
+    @pytest.mark.parametrize("magic", ["P5", "P6"])
+    def test_binary_files_round_trip_byte_identically(self, tmp_path, magic):
+        src, out = tmp_path / "a.pnm", tmp_path / "b.pnm"
+        src.write_bytes(EIGHT_BIT_FILES[magic])
+        save_pnm(load_pnm(src), out)
+        assert out.read_bytes() == src.read_bytes()
 
 
 class TestSavePnm:

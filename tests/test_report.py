@@ -10,6 +10,7 @@ from panfuse.report import (
     CSV_HEADER,
     chart_values,
     grouped_bar_chart_svg,
+    plain_file_name,
     read_csv,
     render_reports,
     write_csv,
@@ -141,6 +142,33 @@ class TestReadCsvErrors:
         path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,{band},DI,0.5,0\n")
         with pytest.raises(ValueError, match=re.escape(f"line 3: bad band {band!r}")):
             read_csv(path)
+
+    @pytest.mark.parametrize("metric", ["", ".", "..", "../escaped", "a/b", "a\\b", "/abs"])
+    def test_metric_must_be_a_plain_file_name(self, tmp_path, metric):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,1,{metric},0.5,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 3: bad metric {metric!r}")):
+            read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "name, plain",
+    [
+        ("DI", True),
+        ("CSA_edge", True),
+        ("...", True),
+        (".hidden", True),
+        ("", False),
+        (".", False),
+        ("..", False),
+        ("a/b", False),
+        ("a\\b", False),
+        ("a\0b", False),
+        ("/abs", False),
+    ],
+)
+def test_plain_file_name(name, plain):
+    assert plain_file_name(name) is plain
 
 
 class TestChartValues:
