@@ -5,6 +5,17 @@ original MS band; spatial metrics (FCC, HPDI, CSA) compare it to the PAN
 image. Pixels whose denominator is zero are excluded from the ratio-based
 means and counted, rather than poisoning the average; a perfect SNR is
 reported as the +infinity sentinel.
+
+``evaluate_all`` takes one difference ``f - m`` per band for DI, SNR and
+NRMSE. When ``f`` carries uint8 samples (``raster.dn8``) and every sample
+of ``m`` is an integer in [0, 255] (a check memoised per MS band; 8-bit
+loads, their resamples and exact-DN 16-bit loads pass it), the sums of
+squares are reduced by ``np.einsum`` without a temporary: every product
+and partial sum is an integer below 2**53, so the value is ``np.sum``'s
+in any order. Other inputs keep ``np.sum``. Nothing here calls BLAS
+(``np.dot`` and kin): OpenBLAS's spinning worker threads take the core a
+batch's other pair thread needs. The zero counts of each MS band (DI)
+and of PAN (HPDI) are memoised on them.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .filtering import laplacian_hp, stencil_input, window3x3
-from .raster import MultiBandImage, Raster, memoised, moments
+from .raster import MultiBandImage, Raster, dn8, memoised, moments
 
 __all__ = [
     "MetricRecord",
@@ -72,6 +83,67 @@ def _mean_ratio(num: np.ndarray, den: np.ndarray, excluded: int) -> float:
     return float(np.mean(num))
 
 
+def _on_grid(r: Raster) -> bool:
+    """Whether every sample of ``r`` is an integer in [0, 255]; memoised
+    on ``r``, so all methods scored against one MS band share it."""
+
+    def check() -> bool:
+        if dn8(r) is not None:
+            return True
+        a = r.samples
+        return bool(a.min() >= 0.0 and a.max() <= 255.0 and np.array_equal(np.floor(a), a))
+
+    return memoised(r, "_on_grid", check)
+
+
+def _zeros(r: Raster) -> int:
+    """The number of zero samples of ``r``, counted once per Raster (on
+    its uint8 samples when it has them)."""
+
+    def count() -> int:
+        a = dn8(r)
+        a = r.samples if a is None else a
+        return int(a.size - np.count_nonzero(a))
+
+    return memoised(r, "_zeros", count)
+
+
+def _exact(f: Raster, m: Raster) -> bool:
+    """Whether the sums of squares of ``f`` and ``f - m`` are exact in
+    float64 whatever the summation order: true when ``f`` carries uint8
+    samples and ``m`` is on the grid, so every product is an integer of at
+    most 255**2 and every partial sum one below 2**53 (for bands under
+    1.38e11 pixels, 1.1 TB of float64 samples)."""
+    return dn8(f) is not None and _on_grid(m)
+
+
+def _sum_squares(a: np.ndarray, exact: bool) -> float:
+    """The sum of ``a ** 2``. When ``exact`` (see :func:`_exact`) it is
+    reduced without a temporary by ``einsum``, whose loop does not go
+    through BLAS; any summation order gives ``np.sum``'s value there.
+    Otherwise it is ``np.sum``, whose pairwise bits the einsum loop would
+    not reproduce on fractional samples."""
+    if exact:
+        return float(np.einsum("ij,ij->", a, a))
+    return float(np.sum(a ** 2))
+
+
+def _deviation(abs_diff: np.ndarray, m: Raster) -> tuple[float, int]:
+    """DI from ``|f - m|``, which it divides in place."""
+    excluded = _zeros(m)
+    if excluded == m.samples.size:
+        raise ValueError("undefined DI: reference band is zero everywhere")
+    return _mean_ratio(abs_diff, m.samples, excluded), excluded
+
+
+def _snr(signal: float, noise: float) -> float:
+    return math.inf if noise == 0.0 else math.sqrt(signal / noise)
+
+
+def _nrmse(noise: float, n: int) -> float:
+    return math.sqrt(noise / n / 255.0 ** 2)
+
+
 def deviation_index(f: Raster, m: Raster) -> tuple[float, int]:
     """Mean of |f - m| / m over pixels where m is nonzero.
 
@@ -79,25 +151,34 @@ def deviation_index(f: Raster, m: Raster) -> tuple[float, int]:
     pixels. Raises if every pixel is excluded.
     """
     _check_dims(f, m, "deviation_index")
-    excluded = int(m.samples.size - np.count_nonzero(m.samples))
-    if excluded == m.samples.size:
-        raise ValueError("undefined DI: reference band is zero everywhere")
-    return _mean_ratio(np.abs(f.samples - m.samples), m.samples, excluded), excluded
+    return _deviation(np.abs(f.samples - m.samples), m)
 
 
 def snr(f: Raster, m: Raster) -> float:
     """sqrt(sum f^2 / sum (f - m)^2); +inf when the error energy is zero."""
     _check_dims(f, m, "snr")
-    noise = float(np.sum((f.samples - m.samples) ** 2))
-    if noise == 0.0:
-        return math.inf
-    return math.sqrt(float(np.sum(f.samples ** 2)) / noise)
+    exact = _exact(f, m)
+    return _snr(
+        _sum_squares(f.samples, exact), _sum_squares(f.samples - m.samples, exact)
+    )
 
 
 def nrmse(f: Raster, m: Raster) -> float:
     """Root mean square error normalized by the 255 DN range."""
     _check_dims(f, m, "nrmse")
-    return math.sqrt(float(np.mean((f.samples - m.samples) ** 2)) / 255.0 ** 2)
+    return _nrmse(_sum_squares(f.samples - m.samples, _exact(f, m)), f.samples.size)
+
+
+def _spectral(f: Raster, m: Raster) -> list[tuple[float, int]]:
+    """(value, excluded) of DI, SNR and NRMSE from one difference
+    ``d = f - m``: its energy, shared by SNR and NRMSE, is taken first,
+    then ``d`` becomes ``|d|`` in place for DI."""
+    exact = _exact(f, m)
+    d = f.samples - m.samples
+    noise = _sum_squares(d, exact)
+    signal = _sum_squares(f.samples, exact)
+    np.abs(d, out=d)
+    return [_deviation(d, m), (_snr(signal, noise), 0), (_nrmse(noise, d.size), 0)]
 
 
 def _centred(r: Raster) -> tuple[np.ndarray, float]:
@@ -142,7 +223,7 @@ def hpdi(fused_band: Raster, pan: Raster) -> tuple[float, int]:
     denominator). Returns (value, excluded).
     """
     _check_dims(fused_band, pan, "hpdi")
-    excluded = int(pan.samples.size - np.count_nonzero(pan.samples))
+    excluded = _zeros(pan)
     if excluded == pan.samples.size:
         raise ValueError("undefined HPDI: PAN is zero everywhere")
     diff = np.abs(laplacian_hp(fused_band).samples - laplacian_hp(pan).samples)
@@ -247,13 +328,7 @@ def evaluate_all(
     # One row per band of (value, excluded) pairs in METRIC_ORDER.
     table = []
     for fband, mband in zip(fused.bands, ms.bands):
-        row = [
-            deviation_index(fband, mband),
-            (snr(fband, mband), 0),
-            (nrmse(fband, mband), 0),
-            (fcc(fband, pan), 0),
-            hpdi(fband, pan),
-        ]
+        row = _spectral(fband, mband) + [(fcc(fband, pan), 0), hpdi(fband, pan)]
         row += [(c, 0) for c in csa(fband, pan, csa_percentile)]
         table.append(row)
 

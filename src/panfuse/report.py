@@ -305,10 +305,18 @@ def grouped_bar_chart_svg(
 
 
 def render_reports(records: list[MetricRecord], svg_dir) -> list[Path]:
-    """Write one SVG per metric into ``svg_dir``; returns the paths."""
+    """Write one SVG per metric into ``svg_dir``; returns the paths.
+
+    Raises:
+        ValueError: before anything is written, if a metric is not a
+            :func:`plain_file_name`, since it names its chart file.
+    """
+    metrics, pairs, methods, values = chart_values(records)
+    for metric in metrics:
+        if not plain_file_name(metric):
+            raise ValueError(f"bad metric {metric!r}: not a plain file name")
     out_dir = Path(svg_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics, pairs, methods, values = chart_values(records)
     paths = []
     for metric in metrics:
         svg = grouped_bar_chart_svg(

@@ -10,8 +10,8 @@ import pytest
 from panfuse import cli
 from panfuse.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, load_manifest, main
 from panfuse.fusion import METHOD_NAMES, fuse
-from panfuse.metrics import METRIC_ORDER
-from panfuse.raster import MultiBandImage, Raster, load_pnm, save_pnm
+from panfuse.metrics import METRIC_ORDER, evaluate_all
+from panfuse.raster import MultiBandImage, Raster, dn8, load_pnm, save_pnm
 from panfuse.report import read_csv
 from panfuse.synthetic import SyntheticSpec, generate_pair
 
@@ -690,3 +690,86 @@ class TestReportCommand:
         csv.write_text("pair_id,method,band,metric,value,excluded_pixels\n")
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert "no records" in capsys.readouterr().err
+
+
+def write_coarse_ms(d, seed, sixteen_bit):
+    """A synthetic pair under ``d`` plus ``coarse.ppm``, a 4x4 MS for the
+    16x16 PAN stored 8- or 16-bit; returns its DN as (band, row, col)."""
+    generate_pair(SyntheticSpec(seed=seed, width=16, height=16, scale_factor=4), d)
+    ms = load_pnm(d / "ms.ppm")
+    coarse = np.stack([b.samples[::4, ::4] for b in ms.bands]).astype(np.uint8)
+    if sixteen_bit:
+        payload = (np.moveaxis(coarse, 0, -1).astype(">u2") * 257).tobytes()
+        (d / "coarse.ppm").write_bytes(b"P6\n4 4\n65535\n" + payload)
+    else:
+        save_pnm(MultiBandImage(tuple(Raster(c.astype(np.float64)) for c in coarse)),
+                 d / "coarse.ppm")
+    return coarse
+
+
+def row(r):
+    return (r.pair_id, r.method, str(r.band), r.metric, float(r.value).hex(),
+            r.excluded_pixels)
+
+
+def hand_built_rows(coarse, pan_path, fused_path, pair_id, method):
+    """``evaluate_all`` on float copies that carry no uint8 samples: the
+    coarse MS enlarged 4x by ``np.repeat``, and PAN and the product copied."""
+    def plain(a):
+        r = Raster(np.array(a, dtype=np.float64))
+        assert dn8(r) is None
+        return r
+
+    ms = MultiBandImage(tuple(plain(np.repeat(np.repeat(c, 4, 0), 4, 1)) for c in coarse))
+    pan = plain(load_pnm(pan_path).samples)
+    fused = MultiBandImage(tuple(plain(b.samples) for b in load_pnm(fused_path).bands))
+    return [row(r) for r in evaluate_all(ms, pan, fused, pair_id, method)]
+
+
+class TestCoarseMs:
+    """The CLI resamples a coarser MS onto the PAN grid before scoring;
+    its rows must equal the hand-built float path's, bit for bit."""
+
+    @pytest.mark.parametrize("sixteen_bit", [False, True], ids=["8-bit", "16-bit"])
+    def test_evaluate(self, tmp_path, capsys, sixteen_bit):
+        coarse = write_coarse_ms(tmp_path, 3, sixteen_bit)
+        csv = tmp_path / "m.csv"
+        code = main(
+            [
+                "evaluate",
+                "--ms", str(tmp_path / "coarse.ppm"),
+                "--pan", str(tmp_path / "pan.pgm"),
+                "--fused", str(tmp_path / "reference.ppm"),
+                "--pair-id", "c",
+                "--method", "sf",
+                "--csv", str(csv),
+            ]
+        )
+        capsys.readouterr()
+        assert code == EXIT_OK
+        want = hand_built_rows(
+            coarse, tmp_path / "pan.pgm", tmp_path / "reference.ppm", "c", "SF"
+        )
+        assert [row(r) for r in read_csv(csv)] == want
+
+    def test_batch(self, tmp_path, capsys):
+        coarse = [write_coarse_ms(tmp_path / f"data{k}", k, k == 1) for k in range(2)]
+        pairs = [
+            {"pair_id": f"p{k}", "ms_path": f"data{k}/coarse.ppm",
+             "pan_path": f"data{k}/pan.pgm"}
+            for k in range(2)
+        ]
+        payload = {"pairs": pairs, "methods": list(METHOD_NAMES), "output_dir": "out"}
+        manifest = write_manifest(tmp_path / "manifest.json", payload)
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_OK
+        capsys.readouterr()
+        want = [
+            r
+            for k in range(2)
+            for method in METHOD_NAMES
+            for r in hand_built_rows(
+                coarse[k], tmp_path / f"data{k}" / "pan.pgm",
+                tmp_path / "out" / f"p{k}" / f"{method}.ppm", f"p{k}", method,
+            )
+        ]
+        assert [row(r) for r in read_csv(tmp_path / "out" / "metrics.csv")] == want

@@ -122,6 +122,16 @@ class TestRaster:
         assert r.samples[1, 1] == 0.0
         assert np.array_equal(laplacian_hp(Raster(r.samples.copy())).samples, memo.samples)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="raster samples must all be finite"):
+            Raster(np.array([[1.0, bad]]))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_rejects_empty_shape(self, shape):
+        with pytest.raises(ValueError, match=r"raster dimensions must be >= 1, got \("):
+            Raster(np.zeros(shape))
+
     def test_constant_and_from_rows(self):
         c = Raster.constant(3, 2, 7.5)
         assert c.samples.shape == (2, 3)
@@ -145,6 +155,11 @@ class TestMultiBandImage:
     def test_requires_at_least_one_band(self):
         with pytest.raises(ValueError):
             MultiBandImage(())
+
+    def test_rejects_a_band_that_is_not_a_raster(self):
+        band = Raster(np.zeros((2, 2)))
+        with pytest.raises(TypeError, match="band 1 is not a Raster"):
+            MultiBandImage((band, np.zeros((2, 2))))
 
 
 class TestClampQuantize:
@@ -517,6 +532,26 @@ class TestLoadPnm:
         p.write_bytes(b"")
         with pytest.raises(PnmError, match="empty file"):
             load_pnm(p)
+
+    @pytest.mark.parametrize("data", [b"P5", b"P5\n4 4", b"P2 4 4\n# no maxval\n"])
+    def test_header_cut_short(self, tmp_path, data):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(data)
+        with pytest.raises(PnmError, match="unexpected end of file") as info:
+            load_pnm(p)
+        assert info.value.offset == len(data)
+        assert f"(byte offset {len(data)})" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "data, offset", [(b"P5\n1 1\n255", 10), (b"P6 1 1 255#c\n\x00\x00\x00", 10)]
+    )
+    def test_missing_whitespace_before_payload(self, tmp_path, data, offset):
+        p = tmp_path / "a.pnm"
+        p.write_bytes(data)
+        with pytest.raises(PnmError, match="missing whitespace before payload") as info:
+            load_pnm(p)
+        assert info.value.offset == offset
+        assert f"(byte offset {offset})" in str(info.value)
 
 
 EIGHT_BIT_FILES = {

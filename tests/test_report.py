@@ -275,3 +275,12 @@ class TestRenderReports:
         second = render_reports(SAMPLE, tmp_path / "b")
         for fa, fb in zip(first, second):
             assert fa.read_bytes() == fb.read_bytes()
+
+    @pytest.mark.parametrize("metric", ["../escaped", "a/b", "..", ".", "", "x\\y", "n\0ul"])
+    def test_metric_that_is_not_a_file_name_writes_nothing(self, tmp_path, metric):
+        # The bad metric comes after a good one: nothing may be written first.
+        records = SAMPLE + [rec("p1", "SF", "avg", metric, 1.0)]
+        svg_dir = tmp_path / "charts"
+        with pytest.raises(ValueError, match="bad metric"):
+            render_reports(records, svg_dir)
+        assert list(tmp_path.rglob("*")) == []
