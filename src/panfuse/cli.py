@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -290,9 +291,19 @@ def _failure_message(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int]:
+def _unexpected_traceback(e: Exception, where: str) -> list[str]:
+    """``where`` and the formatted traceback of ``e`` when it is not the
+    expected ValueError or OSError, whose message alone says what failed;
+    else nothing."""
+    if isinstance(e, (ValueError, OSError)):
+        return []
+    return [f"{where}:\n" + "".join(traceback.format_exception(e))]
+
+
+def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int, list]:
     """Fuse and score one pair with every requested method; returns its
-    records, its log lines and its count of failed tasks.
+    records, its log lines, its count of failed tasks and the tracebacks
+    of its unexpected failures.
 
     A load or output-directory failure fails every method of the pair; a
     single method failure, of any exception type, is logged and the
@@ -306,9 +317,10 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int]
         pair_dir.mkdir(parents=True, exist_ok=True)
     except Exception as e:
         lines += [f"  {method}: failed: {_failure_message(e)}" for method in manifest.methods]
-        return records, lines, len(manifest.methods)
+        return records, lines, len(manifest.methods), _unexpected_traceback(e, pair.pair_id)
 
     failed = 0
+    tracebacks: list[str] = []
     for method in manifest.methods:
         # Drop the previous product, and the Laplacians memoised on its
         # bands, before the next one is built.
@@ -323,9 +335,10 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int]
         except Exception as e:
             failed += 1
             lines.append(f"  {method}: failed: {_failure_message(e)}")
+            tracebacks += _unexpected_traceback(e, f"{pair.pair_id}/{method}")
         else:
             lines.append(f"  {method}: ok -> {out_path}")
-    return records, lines, failed
+    return records, lines, failed, tracebacks
 
 
 def run_batch(manifest: BatchManifest) -> tuple[list, int]:
@@ -333,7 +346,8 @@ def run_batch(manifest: BatchManifest) -> tuple[list, int]:
 
     Pairs run concurrently (thread count from PANFUSE_THREADS, default
     one per pair up to the CPU count) but results are assembled in
-    manifest order, so outputs and the CSV are deterministic.
+    manifest order, so outputs and the CSV are deterministic. The
+    tracebacks of unexpected failures go to stderr, in the same order.
     """
     threads = _thread_count(len(manifest.pairs))
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
@@ -342,8 +356,10 @@ def run_batch(manifest: BatchManifest) -> tuple[list, int]:
 
     records: list[MetricRecord] = []
     failed = 0
-    for pair_records, lines, pair_failed in results:
+    for pair_records, lines, pair_failed, tracebacks in results:
         print("\n".join(lines))
+        for tb in tracebacks:
+            print(tb, end="", file=sys.stderr)
         records.extend(pair_records)
         failed += pair_failed
     return records, failed

@@ -82,9 +82,17 @@ def ihs_forward(rgb: MultiBandImage) -> IhsPlanes:
     """RGB to (I, v1, v2): I = (R+G+B)/3, v1 = (-R-G+2B)/sqrt(6),
     v2 = (R-G)/sqrt(2)."""
     r, g, b = _require_rgb(rgb, "ihs_forward")
-    i = (r + g + b) / 3.0
-    v1 = (-r - g + 2.0 * b) / _SQRT6
-    v2 = (r - g) / _SQRT2
+    # (r + g + b) / 3 and ((-r - g) + 2b) / sqrt(6), op for op, in place.
+    i = r + g
+    i += b
+    i /= 3.0
+    v1 = np.negative(r)
+    v1 -= g
+    twice_b = np.multiply(b, 2.0)
+    v1 += twice_b
+    v1 /= _SQRT6
+    v2 = np.subtract(r, g, out=twice_b)
+    v2 /= _SQRT2
     return IhsPlanes(i=Raster(i), v1=Raster(v1), v2=Raster(v2))
 
 
@@ -94,9 +102,17 @@ def ihs_inverse(planes: IhsPlanes) -> MultiBandImage:
     i = planes.i.samples
     v1 = planes.v1.samples
     v2 = planes.v2.samples
-    r = i - v1 / _SQRT6 + v2 / _SQRT2
-    g = i - v1 / _SQRT6 - v2 / _SQRT2
-    b = i + 2.0 * v1 / _SQRT6
+    # i - v1/sqrt(6) +- v2/sqrt(2) and i + (2 v1)/sqrt(6), op for op, with
+    # each quotient taken once.
+    v1_part = v1 / _SQRT6
+    v2_part = v2 / _SQRT2
+    r = i - v1_part
+    r += v2_part
+    g = np.subtract(i, v1_part, out=v1_part)
+    g -= v2_part
+    b = np.multiply(v1, 2.0, out=v2_part)
+    b /= _SQRT6
+    b += i
     return MultiBandImage((Raster(r), Raster(g), Raster(b)))
 
 

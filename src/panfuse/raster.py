@@ -2,16 +2,19 @@
 quantization.
 
 All pixel data is carried as float64 digital numbers (DN). Quantization to
-the 8-bit grid happens only in :func:`clamp_quantize`, which products pass
-through once, at the end of fusion or at save time, so fusion arithmetic
-never loses fractional intermediates.
+the 8-bit grid happens only in :func:`quantize_in_place`, which products
+pass through once, at the end of fusion or at save time, so fusion
+arithmetic never loses fractional intermediates. A fusion method hands it
+each fresh band to quantize in the buffer the band was built in;
+:func:`clamp_quantize` quantizes a copy of a Raster's samples.
 
 A Raster known to lie on that grid also carries its samples as read-only
-uint8, returned by :func:`dn8`: every :func:`clamp_quantize` result and
-every band :func:`load_pnm` reads from a maxval-255 file. Hand-built
-rasters, 16-bit or other-maxval loads and resample outputs carry none.
-The 3x3 stencils in ``filtering`` run on the uint8 samples in exact int16
-arithmetic, with the same float64 results as the float path.
+uint8, returned by :func:`dn8`: every quantized result and every band
+:func:`load_pnm` reads from a maxval-255 file, whose float64 samples are
+converted from those uint8 samples. Hand-built rasters, 16-bit or
+other-maxval loads and resample outputs carry none. The 3x3 stencils in
+``filtering`` run on the uint8 samples in exact int16 arithmetic, with the
+same float64 results as the float path.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "save_pnm",
     "resample_nearest",
     "moments",
+    "quantize_in_place",
     "clamp_quantize",
 ]
 
@@ -43,18 +47,22 @@ class Raster:
 
     A C-contiguous float64 array that owns its data is frozen in place;
     anything else, a view of another array included, is copied first.
+    Integer and bool arrays are converted to float64 once and not checked
+    for non-finite samples, which they cannot hold; anything else is
+    checked after its conversion (see :func:`_require_finite`).
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
+        integral = isinstance(self.samples, np.ndarray) and self.samples.dtype.kind in "biu"
         a = np.asarray(self.samples, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError(f"raster samples must be 2-D, got {a.ndim}-D")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"raster dimensions must be >= 1, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("raster samples must all be finite")
+        if not integral:
+            _require_finite(a)
         a = np.ascontiguousarray(a)
         if a.base is not None:
             a = a.copy()
@@ -76,6 +84,20 @@ class Raster:
     @classmethod
     def constant(cls, width: int, height: int, value: float) -> "Raster":
         return cls(np.full((height, width), value, dtype=np.float64))
+
+
+def _require_finite(a: np.ndarray) -> None:
+    """Raise unless every sample of the float64 array ``a`` is finite.
+
+    A NaN or infinity in ``a`` makes its sum NaN or infinite, so a finite
+    sum, one reduction with no temporary, proves every sample finite. Only
+    a non-finite sum, which finite samples whose sum overflows also give,
+    falls back to the exact per-sample scan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(a, axis=None)
+    if not np.isfinite(total) and not np.isfinite(a).all():
+        raise ValueError("raster samples must all be finite")
 
 
 def memoised(r: Raster, key: Hashable, compute: Callable[[], T]) -> T:
@@ -280,11 +302,12 @@ def load_pnm(path) -> Union[Raster, MultiBandImage]:
 def _loaded_band(values: np.ndarray, maxval: int) -> Raster:
     """One band of a PNM payload, rescaled to [0, 255]. A maxval-255 band
     keeps its samples as uint8 (see :func:`dn8`): a view of the payload for
-    a binary file, a cast for an ASCII one."""
-    r = Raster(values * 255.0 / maxval)
+    a binary file, a cast for an ASCII one. Its float64 samples are those
+    uint8 samples converted, which is ``x * 255 / 255`` exactly."""
     if maxval != 255:
-        return r
-    return _with_dn8(r, values.astype(np.uint8, copy=False))
+        return Raster(values * 255.0 / maxval)
+    dn = values.astype(np.uint8, copy=False)
+    return _with_dn8(Raster(dn), dn)
 
 
 def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:
@@ -306,12 +329,17 @@ def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:
     quantized = [dn8(clamp_quantize(b)) for b in bands]
     w, h = bands[0].width, bands[0].height
     magic = b"P5" if len(bands) == 1 else b"P6"
-    header = magic + f"\n{w} {h}\n255\n".encode("ascii")
     if len(bands) == 1:
-        payload = quantized[0].tobytes()
+        # A contiguous band is written as it is; a band loaded from a P6
+        # file is a strided view of that file's payload.
+        payload = np.ascontiguousarray(quantized[0])
     else:
-        payload = np.stack(quantized, axis=-1).tobytes()
-    Path(path).write_bytes(header + payload)
+        payload = np.empty((h, w, 3), dtype=np.uint8)
+        for c, q in enumerate(quantized):
+            payload[:, :, c] = q
+    with open(path, "wb") as f:
+        f.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
+        f.write(payload)
 
 
 def _resample_raster(r: Raster, target_w: int, target_h: int) -> Raster:
@@ -353,15 +381,29 @@ def moments(a: np.ndarray) -> tuple[float, np.ndarray, float]:
     return mean, centred, float(np.mean(centred ** 2))
 
 
-def clamp_quantize(r: Raster) -> Raster:
-    """Clamp to [0, 255] and round half-up to the integer DN grid.
+def quantize_in_place(a: np.ndarray) -> Raster:
+    """``a``, a 2-D float64 array the caller owns and no longer needs,
+    clamped to [0, 255] and rounded half-up to the integer DN grid in its
+    own buffer, as a Raster that owns that buffer and carries its samples
+    as uint8 (see :func:`dn8`).
 
-    A Raster on the grid (see :func:`dn8`) is returned unchanged; each
-    result carries its samples as uint8.
+    ``a`` is checked first, so a non-finite sample raises ValueError as
+    :class:`Raster` does rather than being clamped into range. The result
+    has the bits of ``floor(clip(a, 0, 255) + 0.5)``.
+    """
+    _require_finite(a)
+    np.clip(a, 0.0, 255.0, out=a)
+    a += 0.5
+    q = Raster(np.floor(a, out=a))
+    return _with_dn8(q, q.samples.astype(np.uint8))
+
+
+def clamp_quantize(r: Raster) -> Raster:
+    """Clamp to [0, 255] and round half-up to the integer DN grid:
+    :func:`quantize_in_place` on a copy of ``r``'s samples.
+
+    A Raster on the grid (see :func:`dn8`) is returned unchanged.
     """
     if dn8(r) is not None:
         return r
-    out = np.clip(r.samples, 0.0, 255.0)
-    out += 0.5
-    q = Raster(np.floor(out, out=out))
-    return _with_dn8(q, q.samples.astype(np.uint8))
+    return quantize_in_place(r.samples.copy())

@@ -2,7 +2,10 @@
 with the same samples is filtered in float64. Both must give the same bits,
 for every stencil and for the full metric table. Likewise the spectral
 sums of squares are taken by ``einsum`` where they are exact and by
-``np.sum`` elsewhere; both must give the bits of the formulas below."""
+``np.sum`` elsewhere; both must give the bits of the formulas below.
+Quantization in place, the finite check by one sum, the integer-sample
+conversion and the PNM paths built on uint8 must each give the bits of
+the plain formula they replace."""
 
 import math
 import tempfile
@@ -23,7 +26,9 @@ from panfuse.raster import (
     clamp_quantize,
     dn8,
     load_pnm,
+    quantize_in_place,
     resample_nearest,
+    save_pnm,
 )
 
 # 1x1, 1xn and nx1 are all drawn; the examples pin the extremes 0 and 255.
@@ -229,3 +234,139 @@ def test_fractional_sums_keep_the_np_sum_bits():
     d = f.samples - m.samples
     assert float(np.einsum("ij,ij->", d, d)) != float(np.sum(d ** 2))
     assert spectral_results(f, m) == spectral_oracle(f, m)
+
+
+# Ties at every k + 0.5 (k = -1 .. 255), signed zeros, both clamp edges
+# and values far outside the range.
+QUANTIZE_EDGES = np.concatenate(
+    [np.arange(-1, 256) + 0.5, [-0.0, 0.0, -0.5, 255.0, 255.5, 1e300, -1e300]]
+)
+
+
+def quantize_oracle(x):
+    return np.floor(np.clip(x, 0.0, 255.0) + 0.5)
+
+
+def assert_quantized_like_the_oracle(x):
+    expected = quantize_oracle(x)
+    for q in (quantize_in_place(x.copy()), clamp_quantize(Raster(x))):
+        assert q.samples.tobytes() == expected.tobytes()
+        assert dn8(q).tobytes() == expected.astype(np.uint8).tobytes()
+
+
+def test_in_place_quantize_at_ties_and_edges():
+    assert_quantized_like_the_oracle(QUANTIZE_EDGES.reshape(1, -1))
+    assert_quantized_like_the_oracle(QUANTIZE_EDGES.reshape(-1, 1))
+
+
+@given(
+    shapes.flatmap(
+        lambda s: arrays(
+            np.float64, s, elements=st.floats(allow_nan=False, allow_infinity=False)
+        )
+    )
+)
+@settings(deadline=None)
+def test_in_place_quantize_matches_the_oracle(x):
+    assert_quantized_like_the_oracle(x)
+
+
+def test_in_place_quantize_keeps_the_callers_buffer():
+    a = np.array([[-3.0, 7.5, 300.0]])
+    q = quantize_in_place(a)
+    assert np.shares_memory(q.samples, a)
+    assert q.samples.tolist() == [[0.0, 8.0, 255.0]]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[0, 1, 255]], dtype=np.uint8),
+        np.array([[-32768, -1, 0, 32767]], dtype=np.int16),
+        np.array([[True, False], [False, True]]),
+        np.arange(12, dtype=np.int16).reshape(3, 4).T,  # a strided view
+        np.asfortranarray(np.arange(6, dtype=np.uint8).reshape(2, 3)),
+    ],
+    ids=["uint8", "int16", "bool", "int16 view", "uint8 Fortran"],
+)
+def test_integer_samples_give_the_float64_cast(a):
+    r = Raster(a)
+    assert r.samples.flags.c_contiguous and not r.samples.flags.writeable
+    assert r.samples.tobytes() == np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[[np.nan]], [[1.0, np.inf]], [[-np.inf, 2.0]], [[np.inf, -np.inf]], [[3e38, np.nan]]],
+    ids=["nan", "inf", "-inf", "inf -inf", "3e38 nan"],
+)
+def test_non_finite_samples_are_rejected(a):
+    for samples in (a, np.array(a), np.array(a, dtype=np.float32)):
+        with pytest.raises(ValueError, match="raster samples must all be finite"):
+            Raster(samples)
+    with pytest.raises(ValueError, match="raster samples must all be finite"):
+        quantize_in_place(np.array(a))
+
+
+def test_finite_samples_whose_sum_overflows_are_accepted():
+    big = [[1e308, 1e308], [-1e308, -1e308]]
+    assert Raster(big).samples.tolist() == big
+    assert Raster([[1e308, 1e308]]).samples.tolist() == [[1e308, 1e308]]
+    assert quantize_in_place(np.array(big)).samples.tolist() == [[255.0, 255.0], [0.0, 0.0]]
+
+
+def pnm_files(a, d):
+    """``a`` ((h, w) or (h, w, 3) uint8) written as binary and ASCII PNM."""
+    h, w = a.shape[:2]
+    binary, ascii_ = (b"P5", b"P2") if a.ndim == 2 else (b"P6", b"P3")
+    header = f"\n{w} {h}\n255\n".encode()
+    pb, pa = Path(d) / "b.pnm", Path(d) / "a.pnm"
+    pb.write_bytes(binary + header + a.tobytes())
+    pa.write_bytes(ascii_ + header + " ".join(map(str, a.ravel())).encode())
+    return pb, pa
+
+
+def bands_of(image):
+    return image.bands if isinstance(image, MultiBandImage) else (image,)
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (5, 7, 3)], ids=["gray", "rgb"])
+def test_maxval_255_loads_give_the_rescaled_bits(shape):
+    a = np.random.default_rng(13).integers(0, 256, shape, dtype=np.uint8)
+    a.flat[:2] = (0, 255)
+    expected = a.astype(np.float64) * 255.0 / 255
+    columns = (expected,) if a.ndim == 2 else tuple(expected[:, :, c] for c in range(3))
+    with tempfile.TemporaryDirectory() as d:
+        for path in pnm_files(a, d):
+            bands = bands_of(load_pnm(path))
+            assert len(bands) == len(columns)
+            for band, want in zip(bands, columns):
+                assert band.samples.tobytes() == np.ascontiguousarray(want).tobytes()
+                assert dn8(band).tobytes() == want.astype(np.uint8).tobytes()
+
+
+def old_save_bytes(image):
+    """The bytes ``save_pnm`` wrote as header + ``np.stack(...).tobytes()``."""
+    bands = bands_of(image)
+    q = [dn8(clamp_quantize(b)) for b in bands]
+    magic = b"P5" if len(bands) == 1 else b"P6"
+    header = magic + f"\n{bands[0].width} {bands[0].height}\n255\n".encode()
+    if len(bands) == 1:
+        return header + q[0].tobytes()
+    return header + np.stack(q, axis=-1).tobytes()
+
+
+def test_save_writes_the_old_bytes():
+    rng = np.random.default_rng(17)
+    fractional = MultiBandImage(
+        tuple(Raster(rng.uniform(-20.0, 280.0, (6, 9))) for _ in range(3))
+    )
+    with tempfile.TemporaryDirectory() as d:
+        rgb_path, _ = pnm_files(rng.integers(0, 256, (6, 9, 3), dtype=np.uint8), d)
+        loaded = load_pnm(rgb_path)  # bands whose uint8 samples are strided views
+        quantized = MultiBandImage(tuple(clamp_quantize(b) for b in fractional.bands))
+        cases = [fractional, quantized, loaded, fractional.bands[0], loaded.bands[1]]
+        for k, image in enumerate(cases):
+            out = Path(d) / f"{k}.pnm"
+            save_pnm(image, out)
+            assert out.read_bytes() == old_save_bytes(image), k

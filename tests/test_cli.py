@@ -494,6 +494,34 @@ class TestBatchCommand:
         assert len(records) == 3 * ROWS_PER_PRODUCT
         assert {("p0", "SF"), ("p1", "SF")} <= tasks and len(tasks) == 3
 
+    def test_unexpected_exception_prints_its_traceback(self, tmp_path, capsys, monkeypatch):
+        manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=("SF", "IHS"))
+
+        def _band_weights(method):
+            return {"SF": 1.0}[method]
+
+        def fuse_with_a_missing_key(method, ms, pan):
+            _band_weights(method)
+            return fuse(method, ms, pan)
+
+        monkeypatch.setattr(cli, "fuse", fuse_with_a_missing_key)
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out.count("  IHS: failed: KeyError: 'IHS'") == 2
+        assert "Traceback" not in captured.out
+        # One traceback per failed task, naming the helper that raised, in
+        # manifest order, after which the summary line still comes last.
+        assert captured.err.count("Traceback (most recent call last):") == 2
+        assert captured.err.count("in _band_weights") == 2
+        assert 0 <= captured.err.index("p0/IHS:") < captured.err.index("p1/IHS:")
+        assert captured.err.splitlines()[-1] == "2 of 4 fusion tasks failed"
+
+    def test_expected_errors_print_no_traceback(self, tmp_path, capsys):
+        manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=("SF",))
+        (tmp_path / "data1" / "ms.ppm").write_bytes(b"garbage")
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_FAILURE
+        assert capsys.readouterr().err == "1 of 2 fusion tasks failed\n"
+
     def test_any_exception_in_a_load_fails_only_its_pair(self, tmp_path, capsys, monkeypatch):
         manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=("SF", "IHS"))
         load_pnm_ok = cli.load_pnm
@@ -508,6 +536,9 @@ class TestBatchCommand:
         captured = capsys.readouterr()
         assert "2 of 4 fusion tasks failed" in captured.err
         assert captured.out.count("failed: MemoryError: no room for the image") == 2
+        # The pair's one load failure has one traceback, headed by the pair.
+        assert captured.err.count("Traceback (most recent call last):") == 1
+        assert captured.err.startswith("p1:\nTraceback")
         records = read_csv(tmp_path / "out" / "metrics.csv")
         assert {(r.pair_id, r.method) for r in records} == {("p0", "SF"), ("p0", "IHS")}
 

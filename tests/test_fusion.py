@@ -568,6 +568,32 @@ class TestSaveFusedProduct:
         assert bands_equal(load_pnm(tmp_path / "product.ppm"), fused)
 
 
+class TestInPlaceQuantize:
+    """Each method quantizes its fresh bands in their own buffers, so none
+    may write to, or hand back, the memory of its inputs."""
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_inputs_untouched_and_unshared(self, method, quantize, tmp_path):
+        ms, pan = synthetic_pair(23, size=16)
+        save_pnm(ms, tmp_path / "ms.ppm")  # on the grid, with uint8 samples
+        for inputs in ((ms, pan), (load_pnm(tmp_path / "ms.ppm"), pan)):
+            rasters = (*inputs[0].bands, inputs[1])
+            before = [r.samples.tobytes() for r in rasters]
+            out = FUSION_METHODS[method](*inputs, quantize=quantize)
+            assert [r.samples.tobytes() for r in rasters] == before
+            for band in out.bands:
+                assert not any(np.shares_memory(band.samples, r.samples) for r in rasters)
+
+    def test_overflowing_product_is_rejected_not_clamped(self):
+        ms = MultiBandImage((Raster.constant(5, 5, 1.7e308),))
+        spike = np.zeros((5, 5))
+        spike[2, 2] = 1e308
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="raster samples must all be finite"):
+                fuse_hfa(ms, Raster(spike))
+
+
 class TestSelfFusionAcrossMethods:
     def test_no_detail_in_means_no_detail_out(self):
         ms, _ = synthetic_pair(21, size=16)
