@@ -9,6 +9,7 @@ into SVG charts. Exit codes: 0 on success, 1 when processing failed
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from typing import get_args, get_type_hints
 from .fusion import METHOD_NAMES, fuse, normalize_method
 from .metrics import DEFAULT_CSA_PERCENTILE, MetricRecord, evaluate_all
 from .raster import MultiBandImage, Raster, load_pnm, resample_nearest, save_pnm
-from .report import plain_file_name, read_csv, render_reports, write_csv
+from .report import plain_file_name, read_csv, render_reports, repeated_rows, write_csv
 from .synthetic import SyntheticSpec, generate_pair
 
 __all__ = [
@@ -45,6 +46,16 @@ THREADS_ENV = "PANFUSE_THREADS"
 
 # The batch table's file name in output_dir, so no pair_id may take it.
 _CSV_NAME = "metrics.csv"
+
+# The glibc mallopt(3) calls of _keep_freed_planes: (<malloc.h> parameter,
+# value). The mmap threshold is set explicitly because setting the trim
+# threshold alone freezes glibc's dynamic mmap threshold at its 128 KiB
+# start, which would map and unmap every plane.
+_MALLOPT = (
+    (-8, 1),  # M_ARENA_MAX
+    (-3, 32 << 20),  # M_MMAP_THRESHOLD
+    (-1, 256 << 20),  # M_TRIM_THRESHOLD
+)
 
 
 class UsageError(ValueError):
@@ -280,7 +291,15 @@ def _thread_count(pair_count: int) -> int:
         if threads < 1:
             raise UsageError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
         return min(threads, pair_count)
-    return max(1, min(pair_count, os.cpu_count() or 1))
+    return max(1, min(pair_count, _cpus_available()))
+
+
+def _cpus_available() -> int:
+    """The CPUs this process may run on (its affinity mask, where the OS
+    has one), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _failure_message(e: Exception) -> str:
@@ -345,9 +364,10 @@ def run_batch(manifest: BatchManifest) -> tuple[list, int]:
     """Run every pair/method combination; returns (records, failed task count).
 
     Pairs run concurrently (thread count from PANFUSE_THREADS, default
-    one per pair up to the CPU count) but results are assembled in
-    manifest order, so outputs and the CSV are deterministic. The
-    tracebacks of unexpected failures go to stderr, in the same order.
+    one per pair up to the number of CPUs this process may run on) but
+    results are assembled in manifest order, so outputs and the CSV are
+    deterministic. The tracebacks of unexpected failures go to stderr, in
+    the same order.
     """
     threads = _thread_count(len(manifest.pairs))
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
@@ -425,6 +445,13 @@ def cmd_report(args) -> int:
         records = read_csv(args.csv)
     except ValueError as e:
         raise UsageError(str(e)) from None
+    repeated = repeated_rows(records)
+    if repeated:
+        print(
+            f"warning: {repeated} repeated (pair_id, method, band, metric) rows; "
+            "the last of each is charted",
+            file=sys.stderr,
+        )
     for p in render_reports(records, args.out):
         print(f"wrote {p}")
     return EXIT_OK
@@ -482,7 +509,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_planes() -> None:
+    """Have glibc keep freed image planes in this process's heap.
+
+    By default glibc hands each freed 2-8 MB plane back to the OS, and the
+    next plane faults its pages back in one by one. One arena, shared by
+    the pair threads so that memory freed by one is reused by the other,
+    a 32 MiB mmap threshold (glibc's largest; a 1024x1024 float64 plane is
+    8 MiB) and a 256 MiB trim threshold keep freed planes for reuse.
+    Setting the same values again changes nothing. Anything but glibc
+    (musl, macOS, Windows), or a failed lookup, is left as it is.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # TypeError: Windows takes no None path
+        return
+    if not (hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")):
+        return
+    for param, value in _MALLOPT:
+        libc.mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    _keep_freed_planes()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .colorspace import _require_rgb, ihs_forward, ihs_inverse
-# Unused: perfbench/tracer.py wraps them by attribute until ROADMAP item 4.
+# Unused: perfbench/tracer.py wraps them by attribute until ROADMAP item 1.
 from .colorspace import hsv_forward, hsv_inverse  # noqa: F401
 from .filtering import box_lpf, laplacian_hp, unsharp_mask
 from .raster import (

@@ -392,18 +392,25 @@ def quantize_in_place(a: np.ndarray) -> Raster:
     has the bits of ``floor(clip(a, 0, 255) + 0.5)``.
     """
     _require_finite(a)
-    np.clip(a, 0.0, 255.0, out=a)
-    a += 0.5
-    q = Raster(np.floor(a, out=a))
-    return _with_dn8(q, q.samples.astype(np.uint8))
+    return _round_half_up(np.clip(a, 0.0, 255.0, out=a))
 
 
 def clamp_quantize(r: Raster) -> Raster:
-    """Clamp to [0, 255] and round half-up to the integer DN grid:
-    :func:`quantize_in_place` on a copy of ``r``'s samples.
+    """Clamp to [0, 255] and round half-up to the integer DN grid, with
+    the bits of :func:`quantize_in_place` on a copy of ``r``'s samples:
+    the clamp writes a fresh array, which is then rounded in place.
 
     A Raster on the grid (see :func:`dn8`) is returned unchanged.
     """
     if dn8(r) is not None:
         return r
-    return quantize_in_place(r.samples.copy())
+    _require_finite(r.samples)
+    return _round_half_up(np.clip(r.samples, 0.0, 255.0))
+
+
+def _round_half_up(a: np.ndarray) -> Raster:
+    """The finite float64 array ``a``, already clamped to [0, 255], rounded
+    half-up in its own buffer, as a Raster carrying uint8 samples."""
+    a += 0.5
+    q = Raster(np.floor(a, out=a))
+    return _with_dn8(q, q.samples.astype(np.uint8))

@@ -21,6 +21,7 @@ __all__ = [
     "plain_file_name",
     "write_csv",
     "read_csv",
+    "repeated_rows",
     "chart_values",
     "grouped_bar_chart_svg",
     "render_reports",
@@ -120,19 +121,30 @@ def read_csv(path) -> list[MetricRecord]:
     return records
 
 
+def _row_key(r: MetricRecord) -> tuple:
+    return (r.metric, r.pair_id, r.method, str(r.band))
+
+
+def repeated_rows(records: list[MetricRecord]) -> int:
+    """How many records repeat the (pair_id, method, band, metric) key of
+    an earlier one, as appending ``panfuse evaluate`` runs to one CSV
+    does; :func:`chart_values` keeps the last of each."""
+    return len(records) - len({_row_key(r) for r in records})
+
+
 def chart_values(records: list[MetricRecord]):
     """Reduce records to band-averaged per-(metric, pair, method) values.
 
-    An explicit "avg" row wins; otherwise the finite band values are
-    averaged (all-infinite collapses to infinity). Pair and method order
-    follow first appearance; metrics are ordered canonically, then by
-    first appearance for anything nonstandard.
+    Of records with the same (pair_id, method, band, metric) the last
+    counts. An explicit "avg" row wins; otherwise the finite band values
+    are averaged (all-infinite collapses to infinity). Pair and method
+    order follow first appearance; metrics are ordered canonically, then
+    by first appearance for anything nonstandard.
     """
     metrics: list[str] = []
     pairs: list[str] = []
     methods: list[str] = []
-    avg: dict = {}
-    band_rows: dict = {}
+    latest: dict = {}
     for r in records:
         if r.metric not in metrics:
             metrics.append(r.metric)
@@ -140,11 +152,16 @@ def chart_values(records: list[MetricRecord]):
             pairs.append(r.pair_id)
         if r.method not in methods:
             methods.append(r.method)
-        key = (r.metric, r.pair_id, r.method)
-        if str(r.band) == "avg":
-            avg[key] = r.value
+        latest[_row_key(r)] = r.value
+
+    avg: dict = {}
+    band_rows: dict = {}
+    for (metric, pair_id, method, band), value in latest.items():
+        key = (metric, pair_id, method)
+        if band == "avg":
+            avg[key] = value
         else:
-            band_rows.setdefault(key, []).append(r.value)
+            band_rows.setdefault(key, []).append(value)
 
     values = {key: band_average(rows)[0] for key, rows in band_rows.items()}
     values.update(avg)

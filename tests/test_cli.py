@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import platform
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,6 +427,62 @@ class TestManifestValidation:
         assert f"pairs[0]: {key!r} must be" in err
         assert not (pair_dir / "out").exists()
 
+    def test_unreadable_manifest(self, tmp_path, capsys):
+        assert main(["batch", "--manifest", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read manifest: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "manifest must be a JSON object"),
+            (
+                {"pairs": [], "methods": "SF", "output_dir": "out"},
+                "'methods' must be a non-empty list",
+            ),
+            (
+                {"pairs": [], "methods": [], "output_dir": "out"},
+                "'methods' must be a non-empty list",
+            ),
+            (
+                {"pairs": [], "methods": ["SF", 3], "output_dir": "out"},
+                "'methods' entries must be strings, got 3",
+            ),
+            (
+                {"pairs": [], "methods": ["SF"], "output_dir": "out"},
+                "'pairs' must be a non-empty list",
+            ),
+            (
+                {"pairs": ["p"], "methods": ["SF"], "output_dir": "out"},
+                "pairs[0]: must be a JSON object",
+            ),
+            (
+                {
+                    "pairs": [
+                        {"pair_id": "p", "ms_path": "ms.ppm", "pan_path": "pan.pgm", "x": 1}
+                    ],
+                    "methods": ["SF"],
+                    "output_dir": "out",
+                },
+                "pairs[0]: unknown keys: x",
+            ),
+        ],
+        ids=[
+            "not-an-object",
+            "methods-not-a-list",
+            "methods-empty",
+            "method-not-a-string",
+            "pairs-empty",
+            "pair-not-an-object",
+            "unknown-pair-key",
+        ],
+    )
+    def test_malformed_manifest_prints_one_error(self, pair_dir, capsys, payload, message):
+        err = self.error(pair_dir, payload, capsys)
+        assert err == f"error: {message}\n"
+        assert not (pair_dir / "out").exists()
+
     def test_valid_manifest_loads(self, pair_dir):
         payload = {
             "pairs": [
@@ -620,6 +680,14 @@ class TestBatchCommand:
         assert "PANFUSE_THREADS must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("PANFUSE_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._thread_count(4) == 1
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli._thread_count(4) == 4
+
     def test_pair_label_in_log(self, tmp_path, capsys):
         d = tmp_path / "data"
         generate_pair(SyntheticSpec(seed=0, width=16, height=16, scale_factor=4), d)
@@ -670,6 +738,40 @@ class TestReportCommand:
         capsys.readouterr()
         names = sorted(p.name for p in out.glob("*.svg"))
         assert names == sorted(f"{m}.svg" for m in METRIC_ORDER)
+
+    def test_repeated_rows_warn_once_and_chart_the_last(self, pair_dir, capsys):
+        fused = pair_dir / "sf.ppm"
+        ms, pan = load_pnm(pair_dir / "ms.ppm"), load_pnm(pair_dir / "pan.pgm")
+        save_pnm(fuse("SF", ms, pan), fused)
+        twice = self.make_csv(pair_dir, capsys)
+        for csv in (twice, pair_dir / "once.csv"):
+            assert main(
+                [
+                    "evaluate",
+                    "--ms", str(pair_dir / "ms.ppm"),
+                    "--pan", str(pair_dir / "pan.pgm"),
+                    "--fused", str(fused),
+                    "--pair-id", "demo",
+                    "--method", "sf",
+                    "--csv", str(csv),
+                ]
+            ) == EXIT_OK
+        capsys.readouterr()
+
+        once = pair_dir / "once.csv"
+        assert main(["report", "--csv", str(once), "--out", str(pair_dir / "a")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert main(["report", "--csv", str(twice), "--out", str(pair_dir / "b")]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == (
+            f"warning: {ROWS_PER_PRODUCT} repeated (pair_id, method, band, metric) rows; "
+            "the last of each is charted\n"
+        )
+        assert out == "".join(f"wrote {pair_dir / 'b' / f'{m}.svg'}\n" for m in METRIC_ORDER)
+        for m in METRIC_ORDER:
+            assert (pair_dir / "b" / f"{m}.svg").read_bytes() == (
+                pair_dir / "a" / f"{m}.svg"
+            ).read_bytes()
 
     def test_malformed_row_names_line(self, pair_dir, capsys):
         csv = pair_dir / "m.csv"
@@ -804,3 +906,70 @@ class TestCoarseMs:
             )
         ]
         assert [row(r) for r in read_csv(tmp_path / "out" / "metrics.csv")] == want
+
+
+class FakeLibc:
+    """A C library lookup result that records its ``mallopt`` calls."""
+
+    def __init__(self, glibc=True):
+        self.calls = []
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.36"
+        self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+class TestKeepFreedPlanes:
+    def test_sets_one_arena_and_both_thresholds_on_glibc(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._keep_freed_planes()
+        # M_ARENA_MAX, M_MMAP_THRESHOLD, M_TRIM_THRESHOLD of <malloc.h>.
+        assert libc.calls == [(-8, 1), (-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_other_libcs_are_left_alone(self, monkeypatch):
+        libc = FakeLibc(glibc=False)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._keep_freed_planes()
+        assert libc.calls == []
+
+    def test_failed_lookup_is_ignored(self, monkeypatch):
+        def fail(name):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", fail)
+        cli._keep_freed_planes()
+
+    def test_main_calls_it(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_planes", lambda: calls.append(1))
+        assert main([]) == EXIT_USAGE
+        capsys.readouterr()
+        assert calls == [1]
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="the allocator settings apply to Linux glibc only",
+    )
+    def test_repeated_fuse_calls_do_not_fault_their_planes_back_in(self, tmp_path):
+        generate_pair(SyntheticSpec(seed=3, width=512, height=512, scale_factor=4), tmp_path)
+        script = f"""
+import resource, sys
+sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
+from panfuse import cli
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = cli.main(["fuse", "--ms", "ms.ppm", "--pan", "pan.pgm", "--method", "SF",
+                     "--out", "sf.ppm"])
+    assert code == 0, code
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+        # A fresh interpreter, so no earlier test has warmed its heap.
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        faults = json.loads(done.stdout.splitlines()[-1])
+        # Without the settings each call takes about 9,000 minor faults.
+        assert faults[2] < 500, faults

@@ -13,6 +13,7 @@ from panfuse.report import (
     plain_file_name,
     read_csv,
     render_reports,
+    repeated_rows,
     write_csv,
 )
 
@@ -201,6 +202,26 @@ class TestChartValues:
         ]
         metrics, _, _, _ = chart_values(records)
         assert metrics == ["DI", "FCC", "XTRA"]
+
+    def test_last_of_repeated_band_rows_counts(self):
+        records = [
+            rec("p", "SF", 1, "SNR", 10.0),
+            rec("p", "SF", 2, "SNR", 20.0),
+            rec("p", "SF", 1, "SNR", 30.0),
+            rec("p", "SF", "2", "SNR", 40.0),
+        ]
+        _, _, _, values = chart_values(records)
+        assert values[("SNR", "p", "SF")] == 35.0
+        assert repeated_rows(records) == 2
+
+    def test_last_of_repeated_avg_rows_counts(self):
+        records = [rec("p", "SF", "avg", "DI", 0.1), rec("p", "SF", "avg", "DI", 0.3)]
+        _, _, _, values = chart_values(records)
+        assert values[("DI", "p", "SF")] == 0.3
+        assert repeated_rows(records) == 1
+
+    def test_rows_differing_in_any_key_field_are_not_repeats(self):
+        assert repeated_rows(SAMPLE) == 0
 
 
 class TestSvgChart:
