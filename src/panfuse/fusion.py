@@ -23,6 +23,7 @@ from .raster import (
     Raster,
     clamp_quantize,
     moments,
+    operand,
     quantize_in_place,
     resample_nearest,
 )
@@ -73,9 +74,9 @@ def _check_pair(ms: MultiBandImage, pan: Raster, op: str):
 
 def _product(bands, quantize: bool) -> MultiBandImage:
     """The fused image of ``bands``, a list of fresh float64 arrays that
-    only this call refers to. Each is quantized in its own buffer by
-    :func:`quantize_in_place`, or wrapped as a Raster unchanged when
-    ``quantize`` is False; either way no band is copied.
+    only this call refers to. Each is clamped in its own buffer and
+    rounded into uint8 by :func:`quantize_in_place`, or wrapped as a
+    Raster unchanged when ``quantize`` is False; no band is copied.
 
     Every band is built before any is quantized. Quantizing each as it is
     built lowers peak memory, but glibc then trims and re-faults more of
@@ -113,10 +114,10 @@ def fuse_ihs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     """
     _check_pair(ms, pan, "fuse_ihs")
     bands = _require_rgb(ms, "fuse_ihs")
-    i = bands[0] + bands[1]
+    i = np.add(bands[0], bands[1], dtype=np.float64)
     i += bands[2]
     i /= 3.0
-    delta = match_mean_std(pan.samples, i)
+    delta = match_mean_std(operand(pan), i)
     delta -= i
     return _product([b + delta for b in bands], quantize)
 
@@ -135,14 +136,16 @@ def fuse_hsv(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     if min(float(b.min()) for b in bands) < 0.0:
         raise ValueError("fuse_hsv requires non-negative MS samples (hexcone domain)")
     v = np.maximum(np.maximum(bands[0], bands[1]), bands[2])
-    v_new = np.clip(match_mean_std(pan.samples, v), 0.0, 255.0)
-    black = v == 0.0
+    v_new = np.clip(match_mean_std(operand(pan), v), 0.0, 255.0)
+    black = v == 0
+    any_black = black.any()
     fused = []
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = v_new / v
         for b in bands:
             out = b * ratio
-            np.copyto(out, v_new, where=black)
+            if any_black:
+                np.copyto(out, v_new, where=black)
             fused.append(out)
     return _product(fused, quantize)
 
@@ -151,7 +154,7 @@ def fuse_hfa(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     """High-frequency addition: each band gets PAN's unsharp-mask plane."""
     _check_pair(ms, pan, "fuse_hfa")
     detail = unsharp_mask(pan).samples
-    return _product([b.samples + detail for b in ms.bands], quantize)
+    return _product([operand(b) + detail for b in ms.bands], quantize)
 
 
 def fuse_hfm(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
@@ -163,9 +166,11 @@ def fuse_hfm(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     _check_pair(ms, pan, "fuse_hfm")
     lpf = box_lpf(pan).samples
     degenerate = lpf < _HFM_DENOM_FLOOR
-    safe = np.where(degenerate, 1.0, lpf)
-    ratio = np.where(degenerate, 1.0, pan.samples / safe)
-    return _product([b.samples * ratio for b in ms.bands], quantize)
+    if degenerate.any():
+        ratio = np.where(degenerate, 1.0, operand(pan) / np.where(degenerate, 1.0, lpf))
+    else:
+        ratio = operand(pan) / lpf
+    return _product([operand(b) * ratio for b in ms.bands], quantize)
 
 
 def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
@@ -175,12 +180,12 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     bands. A constant PAN (zero range) gives each band its mean, slope 0.
     """
     _check_pair(ms, pan, "fuse_rvs")
-    p = pan.samples
+    p = operand(pan)
     constant = np.ptp(p) == 0.0
     p_mean, dp, p_var = moments(p)
     fused = []
     for b in ms.bands:
-        m = b.samples
+        m = operand(b)
         m_mean = np.mean(m)
         slope = 0.0 if constant else float(np.mean(dp * (m - m_mean)) / p_var)
         fused.append(float(m_mean - slope * p_mean) + slope * p)
@@ -191,7 +196,7 @@ def fuse_ef(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiB
     """Edge fusion: each band gets PAN's Laplacian high-pass plane."""
     _check_pair(ms, pan, "fuse_ef")
     edges = laplacian_hp(pan).samples
-    return _product([b.samples + edges for b in ms.bands], quantize)
+    return _product([operand(b) + edges for b in ms.bands], quantize)
 
 
 FUSION_METHODS = {

@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .filtering import laplacian_hp, stencil_input, window3x3
-from .raster import MultiBandImage, Raster, dn8, memoised, moments
+from .raster import MultiBandImage, Raster, dn8, memoised, moments, operand
 
 __all__ = [
     "MetricRecord",
@@ -101,8 +101,7 @@ def _zeros(r: Raster) -> int:
     its uint8 samples when it has them)."""
 
     def count() -> int:
-        a = dn8(r)
-        a = r.samples if a is None else a
+        a = operand(r)
         return int(a.size - np.count_nonzero(a))
 
     return memoised(r, "_zeros", count)
@@ -118,22 +117,22 @@ def _exact(f: Raster, m: Raster) -> bool:
 
 
 def _sum_squares(a: np.ndarray, exact: bool) -> float:
-    """The sum of ``a ** 2``. When ``exact`` (see :func:`_exact`) it is
-    reduced without a temporary by ``einsum``, whose loop does not go
-    through BLAS; any summation order gives ``np.sum``'s value there.
-    Otherwise it is ``np.sum``, whose pairwise bits the einsum loop would
-    not reproduce on fractional samples."""
+    """The sum of ``a ** 2`` in float64, for float64 or uint8 ``a``. When
+    ``exact`` (see :func:`_exact`) it is reduced without a temporary by
+    ``einsum``, whose loop does not go through BLAS; any summation order
+    gives ``np.sum``'s value there. Otherwise it is ``np.sum``, whose
+    pairwise bits the einsum loop would not reproduce on fractional samples."""
     if exact:
-        return float(np.einsum("ij,ij->", a, a))
-    return float(np.sum(a ** 2))
+        return float(np.einsum("ij,ij->", a, a, dtype=np.float64))
+    return float(np.sum(np.square(a, dtype=np.float64)))
 
 
 def _deviation(abs_diff: np.ndarray, m: Raster) -> tuple[float, int]:
     """DI from ``|f - m|``, which it divides in place."""
     excluded = _zeros(m)
-    if excluded == m.samples.size:
+    if excluded == abs_diff.size:
         raise ValueError("undefined DI: reference band is zero everywhere")
-    return _mean_ratio(abs_diff, m.samples, excluded), excluded
+    return _mean_ratio(abs_diff, operand(m), excluded), excluded
 
 
 def _snr(signal: float, noise: float) -> float:
@@ -174,9 +173,9 @@ def _spectral(f: Raster, m: Raster) -> list[tuple[float, int]]:
     ``d = f - m``: its energy, shared by SNR and NRMSE, is taken first,
     then ``d`` becomes ``|d|`` in place for DI."""
     exact = _exact(f, m)
-    d = f.samples - m.samples
+    d = np.subtract(operand(f), operand(m), dtype=np.float64)
     noise = _sum_squares(d, exact)
-    signal = _sum_squares(f.samples, exact)
+    signal = _sum_squares(operand(f), exact)
     np.abs(d, out=d)
     return [_deviation(d, m), (_snr(signal, noise), 0), (_nrmse(noise, d.size), 0)]
 
@@ -224,10 +223,10 @@ def hpdi(fused_band: Raster, pan: Raster) -> tuple[float, int]:
     """
     _check_dims(fused_band, pan, "hpdi")
     excluded = _zeros(pan)
-    if excluded == pan.samples.size:
+    if excluded == pan.width * pan.height:
         raise ValueError("undefined HPDI: PAN is zero everywhere")
     diff = np.abs(laplacian_hp(fused_band).samples - laplacian_hp(pan).samples)
-    return _mean_ratio(diff, pan.samples, excluded), excluded
+    return _mean_ratio(diff, operand(pan), excluded), excluded
 
 
 def _local_michelson(band: Raster) -> np.ndarray:

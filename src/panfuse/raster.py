@@ -1,20 +1,20 @@
 """Core image representation, PNM I/O, resampling, population moments,
 quantization.
 
-All pixel data is carried as float64 digital numbers (DN). Quantization to
-the 8-bit grid happens only in :func:`quantize_in_place`, which products
-pass through once, at the end of fusion or at save time, so fusion
-arithmetic never loses fractional intermediates. A fusion method hands it
-each fresh band to quantize in the buffer the band was built in;
-:func:`clamp_quantize` quantizes a copy of a Raster's samples.
+Pixel data is carried as digital numbers (DN). A Raster built from uint8
+samples holds only that array (:func:`dn8`) and derives its float64
+samples on first read; any other Raster holds float64 samples.
+Quantization to the 8-bit grid happens only in :func:`quantize_in_place`
+and :func:`clamp_quantize`, which products pass through once, at the end
+of fusion or at save time, so fusion arithmetic never loses fractional
+intermediates; both round straight into a fresh uint8 array.
 
-A Raster known to lie on that grid also carries its samples as read-only
-uint8, returned by :func:`dn8`: every quantized result and every band
-:func:`load_pnm` reads from a maxval-255 file, whose float64 samples are
-converted from those uint8 samples. Hand-built rasters, 16-bit or
-other-maxval loads and resample outputs carry none. The 3x3 stencils in
-``filtering`` run on the uint8 samples in exact int16 arithmetic, with the
-same float64 results as the float path.
+Rasters on the grid are thus every quantized result, every band
+:func:`load_pnm` reads from a maxval-255 file, and their resamples.
+Arithmetic reads their uint8 samples (:func:`operand`) wherever numpy
+promotes the result to float64, which is exact; uint8 combined with
+uint8 or an integer scalar would wrap. The 3x3 stencils in ``filtering``
+run on them in exact int16 arithmetic, with the float path's results.
 """
 
 from __future__ import annotations
@@ -45,18 +45,21 @@ T = TypeVar("T")
 class Raster:
     """Single-band 2-D grid of real-valued DN, shape (height, width).
 
-    A C-contiguous float64 array that owns its data is frozen in place;
-    anything else, a view of another array included, is copied first.
-    Integer and bool arrays are converted to float64 once and not checked
-    for non-finite samples, which they cannot hold; anything else is
-    checked after its conversion (see :func:`_require_finite`).
+    A C-contiguous float64 or uint8 array that owns its data is frozen in
+    place; anything else, a view of another array included, is copied
+    first. A uint8 array is kept, and ``samples``, its read-only float64
+    conversion, is made on first read and memoised. Other integer and
+    bool arrays are converted to float64 once and not checked for
+    non-finite samples, which they cannot hold; anything else is checked
+    after its conversion (see :func:`_require_finite`).
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        integral = isinstance(self.samples, np.ndarray) and self.samples.dtype.kind in "biu"
-        a = np.asarray(self.samples, dtype=np.float64)
+        a = self.samples
+        integral = isinstance(a, np.ndarray) and a.dtype.kind in "biu"
+        a = np.asarray(a, dtype=np.uint8 if integral and a.dtype == np.uint8 else np.float64)
         if a.ndim != 2:
             raise ValueError(f"raster samples must be 2-D, got {a.ndim}-D")
         if a.shape[0] < 1 or a.shape[1] < 1:
@@ -67,15 +70,26 @@ class Raster:
         if a.base is not None:
             a = a.copy()
         a.flags.writeable = False
-        object.__setattr__(self, "samples", a)
+        del self.__dict__["samples"]  # a uint8 array is kept under _DN8
+        self.__dict__[_DN8 if a.dtype == np.uint8 else "samples"] = a
+
+    def __getattr__(self, name):
+        # Reached for "samples" only before the first read of a uint8
+        # Raster's float64 samples; memoised under memoised's thread rule.
+        dn = self.__dict__.get(_DN8)
+        if name != "samples" or dn is None:
+            raise AttributeError(name)
+        samples = dn.astype(np.float64)
+        samples.flags.writeable = False
+        return self.__dict__.setdefault("samples", samples)
 
     @property
     def width(self) -> int:
-        return self.samples.shape[1]
+        return operand(self).shape[1]
 
     @property
     def height(self) -> int:
-        return self.samples.shape[0]
+        return operand(self).shape[0]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Raster":
@@ -115,25 +129,23 @@ def memoised(r: Raster, key: Hashable, compute: Callable[[], T]) -> T:
     return value
 
 
-# Memo key of the read-only uint8 samples of a Raster on the 8-bit grid.
+# Instance-dict key of the read-only uint8 samples of a Raster built from them.
 _DN8 = "_dn8"
 
 
 def dn8(r: Raster):
-    """``r``'s samples as a read-only uint8 array when ``r`` is known to lie
-    on the 8-bit grid (a :func:`clamp_quantize` result or a band loaded from
-    a maxval-255 file), else None. The values equal ``r.samples``."""
+    """``r``'s samples as the read-only uint8 array it holds when it was
+    built from uint8 samples (a quantized result, a maxval-255 load or a
+    resample of either), else None. The values equal ``r.samples``."""
     return r.__dict__.get(_DN8)
 
 
-def _with_dn8(r: Raster, dn: np.ndarray) -> Raster:
-    """``r``, with ``dn`` (its samples as uint8) made read-only and
-    memoised on it by :func:`memoised`. The array does not refer back to
-    ``r``, so no reference cycle keeps the samples alive past their last
-    reference."""
-    dn.flags.writeable = False
-    memoised(r, _DN8, lambda: dn)
-    return r
+def operand(r: Raster) -> np.ndarray:
+    """``r``'s uint8 samples when it holds them, else its float64 samples:
+    the array to read where numpy promotes the result to float64 (a
+    float64 array or float scalar on the other side, or ``dtype``)."""
+    dn = dn8(r)
+    return r.samples if dn is None else dn
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,13 +313,12 @@ def load_pnm(path) -> Union[Raster, MultiBandImage]:
 
 def _loaded_band(values: np.ndarray, maxval: int) -> Raster:
     """One band of a PNM payload, rescaled to [0, 255]. A maxval-255 band
-    keeps its samples as uint8 (see :func:`dn8`): a view of the payload for
+    keeps its samples as uint8 (see :func:`dn8`): a copy of the payload for
     a binary file, a cast for an ASCII one. Its float64 samples are those
     uint8 samples converted, which is ``x * 255 / 255`` exactly."""
     if maxval != 255:
         return Raster(values * 255.0 / maxval)
-    dn = values.astype(np.uint8, copy=False)
-    return _with_dn8(Raster(dn), dn)
+    return Raster(values.astype(np.uint8, copy=False))
 
 
 def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:
@@ -330,9 +341,7 @@ def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:
     w, h = bands[0].width, bands[0].height
     magic = b"P5" if len(bands) == 1 else b"P6"
     if len(bands) == 1:
-        # A contiguous band is written as it is; a band loaded from a P6
-        # file is a strided view of that file's payload.
-        payload = np.ascontiguousarray(quantized[0])
+        payload = quantized[0]
     else:
         payload = np.empty((h, w, 3), dtype=np.uint8)
         for c, q in enumerate(quantized):
@@ -347,8 +356,9 @@ def _resample_raster(r: Raster, target_w: int, target_h: int) -> Raster:
     cols = (np.arange(target_w, dtype=np.int64) * r.width) // target_w
     # One gather per axis: each ``take`` is a plain indexed copy, where
     # ``np.ix_`` goes through the general broadcast fancy-index path. The
-    # result is a new C-contiguous array, so Raster keeps it uncopied.
-    return Raster(r.samples.take(cols, axis=1).take(rows, axis=0))
+    # result is a new C-contiguous array, so Raster keeps it uncopied,
+    # and uint8 samples stay uint8.
+    return Raster(operand(r).take(cols, axis=1).take(rows, axis=0))
 
 
 def resample_nearest(image, target_w: int, target_h: int):
@@ -383,34 +393,29 @@ def moments(a: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 def quantize_in_place(a: np.ndarray) -> Raster:
     """``a``, a 2-D float64 array the caller owns and no longer needs,
-    clamped to [0, 255] and rounded half-up to the integer DN grid in its
-    own buffer, as a Raster that owns that buffer and carries its samples
-    as uint8 (see :func:`dn8`).
+    clamped to [0, 255] in its own buffer and rounded half-up to the
+    integer DN grid into a fresh uint8 array, as a Raster holding that
+    array (see :func:`dn8`).
 
     ``a`` is checked first, so a non-finite sample raises ValueError as
     :class:`Raster` does rather than being clamped into range. The result
-    has the bits of ``floor(clip(a, 0, 255) + 0.5)``.
+    has the bits of ``floor(clip(a, 0, 255) + 0.5)``: the cast to uint8
+    truncates, which on [0.5, 255.5] is ``floor``.
     """
     _require_finite(a)
-    return _round_half_up(np.clip(a, 0.0, 255.0, out=a))
+    np.clip(a, 0.0, 255.0, out=a)
+    return Raster(np.add(a, 0.5, out=np.empty(a.shape, np.uint8), casting="unsafe"))
 
 
 def clamp_quantize(r: Raster) -> Raster:
     """Clamp to [0, 255] and round half-up to the integer DN grid, with
     the bits of :func:`quantize_in_place` on a copy of ``r``'s samples:
-    the clamp writes a fresh array, which is then rounded in place.
+    the clamp writes a fresh array, which is then rounded into uint8.
+    ``r`` was checked for non-finite samples when it was built.
 
     A Raster on the grid (see :func:`dn8`) is returned unchanged.
     """
     if dn8(r) is not None:
         return r
-    _require_finite(r.samples)
-    return _round_half_up(np.clip(r.samples, 0.0, 255.0))
-
-
-def _round_half_up(a: np.ndarray) -> Raster:
-    """The finite float64 array ``a``, already clamped to [0, 255], rounded
-    half-up in its own buffer, as a Raster carrying uint8 samples."""
-    a += 0.5
-    q = Raster(np.floor(a, out=a))
-    return _with_dn8(q, q.samples.astype(np.uint8))
+    a = np.clip(r.samples, 0.0, 255.0)
+    return Raster(np.add(a, 0.5, out=np.empty(a.shape, np.uint8), casting="unsafe"))

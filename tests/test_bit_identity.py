@@ -5,10 +5,12 @@ sums of squares are taken by ``einsum`` where they are exact and by
 ``np.sum`` elsewhere; both must give the bits of the formulas below.
 Quantization in place, the finite check by one sum, the integer-sample
 conversion and the PNM paths built on uint8 must each give the bits of
-the plain formula they replace."""
+the plain formula they replace. Every fusion method must give the same
+bits on inputs that hold uint8 samples as on float64 copies of them."""
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from panfuse.filtering import box_lpf, laplacian_hp, unsharp_mask
 from panfuse import metrics
+from panfuse.fusion import FUSION_METHODS
 from panfuse.metrics import csa, deviation_index, evaluate_all, nrmse, snr
 from panfuse.raster import (
     MultiBandImage,
@@ -106,9 +109,12 @@ def test_evaluate_all_on_the_grid_matches_the_float_path(planes):
         ms, hand_built(planes[3]), MultiBandImage(tuple(hand_built(p) for p in planes[:3]))
     )
     grids = [gridded(p) for p in planes]
+    ms_grids = [gridded(np.roll(p, 1)) for p in planes[:3]]
     for k in range(3):
         fused = MultiBandImage(tuple(g[k] for g in grids[:3]))
         assert records(ms, grids[3][k], fused) == want
+        # Both sides of f - m hold uint8 samples, which must not wrap.
+        assert records(MultiBandImage(tuple(g[k] for g in ms_grids)), grids[3][k], fused) == want
 
 
 def spectral_oracle(f, m):
@@ -160,14 +166,15 @@ def sixteen_bit(a):
 
 def references(coarse):
     """Rasters on the grid without uint8 samples, twice ``coarse``'s size:
-    hand-built, loaded from a 16-bit file, and resampled from a hand-built,
-    an 8-bit-loaded and a 16-bit-loaded coarse band."""
+    hand-built, loaded from a 16-bit file, resampled from a hand-built and
+    a 16-bit-loaded coarse band, and a float64 copy of the resample of an
+    8-bit-loaded one (which itself holds uint8 samples)."""
     h, w = coarse.shape
     fine = np.repeat(np.repeat(coarse, 2, axis=0), 2, axis=1)
-    loaded = gridded(coarse)[1]
-    refs = [hand_built(fine), sixteen_bit(fine)] + [
-        resample_nearest(r, 2 * w, 2 * h)
-        for r in (hand_built(coarse), loaded, sixteen_bit(coarse))
+    loaded = resample_nearest(gridded(coarse)[1], 2 * w, 2 * h)
+    assert dn8(loaded) is not None
+    refs = [hand_built(fine), sixteen_bit(fine), hand_built(loaded.samples)] + [
+        resample_nearest(r, 2 * w, 2 * h) for r in (hand_built(coarse), sixteen_bit(coarse))
     ]
     for r in refs:
         assert dn8(r) is None
@@ -272,10 +279,43 @@ def test_in_place_quantize_matches_the_oracle(x):
 
 
 def test_in_place_quantize_keeps_the_callers_buffer():
+    """The clamp runs in the caller's buffer; the rounded samples are
+    written straight into a fresh uint8 array, which the result holds."""
     a = np.array([[-3.0, 7.5, 300.0]])
     q = quantize_in_place(a)
-    assert np.shares_memory(q.samples, a)
+    assert a.tolist() == [[0.0, 7.5, 255.0]]
+    assert not np.shares_memory(dn8(q), a)
+    assert dn8(q).tolist() == [[0, 8, 255]]
     assert q.samples.tolist() == [[0.0, 8.0, 255.0]]
+
+
+def test_save_of_a_quantized_plane_allocates_no_float64_plane(tmp_path):
+    """Quantizing a 512x512 plane and saving it reads only the uint8
+    samples: the traced peak stays below one float64 plane (2 MiB)."""
+    a = np.random.default_rng(3).uniform(-20.0, 280.0, (512, 512))
+    tracemalloc.start()
+    try:
+        q = quantize_in_place(a)
+        assert (q.width, q.height) == (512, 512)
+        save_pnm(q, tmp_path / "q.pgm")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes // 2
+    assert load_pnm(tmp_path / "q.pgm").samples.tobytes() == quantize_oracle(a).tobytes()
+
+
+def test_raster_values_survive_the_callers_uint8_array():
+    owned = np.full((3, 4), 5, dtype=np.uint8)
+    base = np.arange(24, dtype=np.uint8).reshape(4, 6)
+    rasters = [Raster(owned), Raster(base[1:]), Raster(base[:, ::2])]
+    before = [r.samples.copy() for r in rasters]
+    with pytest.raises(ValueError):
+        owned[0, 0] = 99  # frozen in place: it is the Raster's array now
+    base[:] = 7  # views are copied
+    for r, want in zip(rasters, before):
+        assert r.samples.tobytes() == want.tobytes()
+        assert dn8(r).tobytes() == want.astype(np.uint8).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -370,3 +410,53 @@ def test_save_writes_the_old_bytes():
             out = Path(d) / f"{k}.pnm"
             save_pnm(image, out)
             assert out.read_bytes() == old_save_bytes(image), k
+
+
+@st.composite
+def fusion_inputs(draw):
+    """A resampling factor and four uint8 planes at the fine size: the
+    MS bands, sampled at that factor, and PAN."""
+    f = draw(st.integers(1, 2))
+    h, w = draw(shapes)
+    return f, draw(arrays(np.uint8, (4, h * f, w * f), elements=st.integers(0, 255)))
+
+
+def fused(method, ms, pan, quantize):
+    """Each product band's float64 bytes and uint8 bytes (None when it
+    holds none), or the message of the ValueError the method raised."""
+    try:
+        out = method(ms, pan, quantize=quantize)
+    except ValueError as e:
+        return str(e)
+    return [(b.samples.tobytes(), None if dn8(b) is None else dn8(b).tobytes()) for b in out.bands]
+
+
+def fine(a):
+    return np.repeat(np.repeat(a, 2, axis=0), 2, axis=1)
+
+
+# R = 0 against G = 255 and the other way round: r + g, r - g and -r
+# would each wrap if taken in uint8.
+@given(fusion_inputs())
+@example((1, np.stack([np.zeros_like(SPREAD), np.full_like(SPREAD, 255), SPREAD, 255 - SPREAD])))
+@example((2, np.stack([fine(x) for x in (EXTREMES, 255 - EXTREMES, EXTREMES, 255 - EXTREMES)])))
+@example((1, np.stack([EXTREMES, 255 - EXTREMES, np.zeros_like(EXTREMES), EXTREMES])))
+@settings(deadline=None, max_examples=40)
+def test_fusion_on_loaded_8bit_inputs_matches_float64_copies(inputs):
+    f, planes = inputs
+    h, w = planes.shape[1:]
+    coarse = np.ascontiguousarray(planes[:3, ::f, ::f].transpose(1, 2, 0))
+    ms = resample_nearest(
+        MultiBandImage(tuple(hand_built(coarse[:, :, c]) for c in range(3))), w, h
+    )
+    pan = hand_built(planes[3])
+    with tempfile.TemporaryDirectory() as dm, tempfile.TemporaryDirectory() as dp:
+        ms_files, pan_files = pnm_files(coarse, dm), pnm_files(planes[3], dp)
+        loads = [(load_pnm(m), load_pnm(p)) for m, p in zip(ms_files, pan_files)]
+    for ms8, pan8 in loads:
+        ms8 = resample_nearest(ms8, w, h)
+        assert all(dn8(b) is not None for b in (*ms8.bands, pan8))
+        for name, method in FUSION_METHODS.items():
+            for quantize in (True, False):
+                want = fused(method, ms, pan, quantize)
+                assert fused(method, ms8, pan8, quantize) == want, (name, quantize)

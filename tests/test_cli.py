@@ -54,6 +54,14 @@ class TestUsageErrors:
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_one_parser_serves_every_call(self, capsys):
+        """The parser is built once per process, and a call after another
+        call's error parses as if it were the first."""
+        assert cli.build_parser() is cli.build_parser()
+        outcomes = [(main(argv), capsys.readouterr()) for argv in (["fuse"], ["x"], ["fuse"])]
+        assert outcomes[0] == outcomes[2]
+        assert outcomes[0][0] == EXIT_USAGE and "--ms" in outcomes[0][1].err
+
     def test_unknown_method_names_the_valid_ones(self, pair_dir, capsys):
         code = main(
             [

@@ -606,13 +606,16 @@ class TestDn8:
         for band in bands_of(load_pnm(p)):
             assert dn8(band) is None
 
-    def test_absent_on_hand_built_and_resampled_rasters(self, tmp_path):
-        assert dn8(Raster(np.array([[0.0, 13.0, 255.0]]))) is None
+    def test_absent_on_float_rasters_and_kept_by_resampling(self, tmp_path):
+        hand_built = Raster(np.array([[0.0, 13.0, 255.0]]))
+        assert dn8(hand_built) is None
+        assert dn8(resample_nearest(hand_built, 6, 2)) is None
+        self.assert_on_grid(Raster(np.array([[0, 13, 255]], dtype=np.uint8)))
         p = tmp_path / "a.pgm"
         p.write_bytes(EIGHT_BIT_FILES["P5"])
         for r in (load_pnm(p), clamp_quantize(Raster(np.array([[1.0, 2.0]])))):
             assert dn8(r) is not None
-            assert dn8(resample_nearest(r, 2 * r.width, 2 * r.height)) is None
+            self.assert_on_grid(resample_nearest(r, 2 * r.width, 2 * r.height))
 
     @pytest.mark.parametrize("magic", ["P5", "P6"])
     def test_binary_files_round_trip_byte_identically(self, tmp_path, magic):
