@@ -23,7 +23,7 @@ from typing import get_args, get_type_hints
 from .fusion import METHOD_NAMES, fuse, normalize_method
 from .metrics import DEFAULT_CSA_PERCENTILE, MetricRecord, evaluate_all
 from .raster import MultiBandImage, Raster, load_pnm, resample_nearest, save_pnm
-from .report import plain_file_name, read_csv, render_reports, repeated_rows, write_csv
+from .report import plain_file_name, read_csv, render_reports, repeated_rows, write_csv, xml_text
 from .synthetic import SyntheticSpec, generate_pair
 
 __all__ = [
@@ -303,21 +303,18 @@ def _cpus_available() -> int:
     return os.cpu_count() or 1
 
 
-def _failure_message(e: Exception) -> str:
-    """A failed task's message; an exception other than the expected
-    ValueError or OSError is named by its type."""
-    if isinstance(e, (ValueError, OSError)):
-        return str(e)
-    return f"{type(e).__name__}: {e}"
+# The failures whose message alone says what went wrong; anything else is
+# named by its type and its traceback is kept.
+_EXPECTED_ERRORS = (ValueError, OSError)
 
 
-def _unexpected_traceback(e: Exception, where: str) -> list[str]:
-    """``where`` and the formatted traceback of ``e`` when it is not the
-    expected ValueError or OSError, whose message alone says what failed;
-    else nothing."""
-    if isinstance(e, (ValueError, OSError)):
-        return []
-    return [f"{where}:\n" + "".join(traceback.format_exception(e))]
+def _failure(e: Exception, where: str) -> tuple[str, list[str]]:
+    """A failed task's message and, for an unexpected failure, ``where``
+    and the formatted traceback of ``e``; an expected one has none."""
+    if isinstance(e, _EXPECTED_ERRORS):
+        return str(e), []
+    tb = f"{where}:\n" + "".join(traceback.format_exception(e))
+    return f"{type(e).__name__}: {e}", [tb]
 
 
 def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int, list]:
@@ -336,8 +333,9 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int,
         pair_dir = manifest.output_dir / pair.pair_id
         pair_dir.mkdir(parents=True, exist_ok=True)
     except Exception as e:
-        lines += [f"  {method}: failed: {_failure_message(e)}" for method in manifest.methods]
-        return records, lines, len(manifest.methods), _unexpected_traceback(e, pair.pair_id)
+        message, tracebacks = _failure(e, pair.pair_id)
+        lines += [f"  {method}: failed: {message}" for method in manifest.methods]
+        return records, lines, len(manifest.methods), tracebacks
 
     failed = 0
     tracebacks: list[str] = []
@@ -354,8 +352,9 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int,
             )
         except Exception as e:
             failed += 1
-            lines.append(f"  {method}: failed: {_failure_message(e)}")
-            tracebacks += _unexpected_traceback(e, f"{pair.pair_id}/{method}")
+            message, tb = _failure(e, f"{pair.pair_id}/{method}")
+            lines.append(f"  {method}: failed: {message}")
+            tracebacks += tb
         else:
             lines.append(f"  {method}: ok -> {out_path}")
     return records, lines, failed, tracebacks
@@ -402,6 +401,8 @@ def cmd_fuse(args) -> int:
 def cmd_evaluate(args) -> int:
     method = _method(args.method)
     percentile = _check_percentile(args.csa_percentile, "--csa-percentile")
+    if not xml_text(args.pair_id):
+        raise UsageError(f"--pair-id must not contain control characters, got {args.pair_id!r}")
     ms, pan = _load_pair(args.ms, args.pan)
     fused = _as_multiband(load_pnm(args.fused))
     records = evaluate_all(ms, pan, fused, args.pair_id, method, percentile)
@@ -546,7 +547,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as e:
+    except _EXPECTED_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -18,6 +18,7 @@ from .raster import MultiBandImage, Raster, operand
 __all__ = [
     "IhsPlanes",
     "HsvPlanes",
+    "intensity",
     "ihs_forward",
     "ihs_inverse",
     "hsv_forward",
@@ -79,15 +80,22 @@ def _require_rgb(image: MultiBandImage, op: str) -> tuple:
     return tuple(operand(b) for b in image.bands)
 
 
+def intensity(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """I = (R+G+B)/3 of three band arrays as a fresh float64 array, op for
+    op; the first sum is taken in float64, as uint8 samples would wrap."""
+    i = np.add(r, g, dtype=np.float64)
+    i += b
+    i /= 3.0
+    return i
+
+
 def ihs_forward(rgb: MultiBandImage) -> IhsPlanes:
     """RGB to (I, v1, v2): I = (R+G+B)/3, v1 = (-R-G+2B)/sqrt(6),
     v2 = (R-G)/sqrt(2)."""
     r, g, b = _require_rgb(rgb, "ihs_forward")
-    # (r + g + b) / 3 and ((-r - g) + 2b) / sqrt(6), op for op, in place;
-    # each first op is taken in float64, as uint8 samples would wrap.
-    i = np.add(r, g, dtype=np.float64)
-    i += b
-    i /= 3.0
+    i = intensity(r, g, b)
+    # ((-r - g) + 2b) / sqrt(6), op for op, in place; the first op is
+    # taken in float64, as uint8 samples would wrap.
     v1 = np.negative(r, dtype=np.float64)
     v1 -= g
     twice_b = np.multiply(b, 2.0)

@@ -6,9 +6,8 @@ Edge handling is replicate (clamp-to-border) everywhere, so constant images
 pass through filters unchanged and weight-sum-zero filters respond with
 exact zeros on integral DN data.
 
-A Raster on the 8-bit grid (``raster.dn8``: a quantized result, a band
-loaded from a maxval-255 file or a resample of either) is filtered in
-int16, which holds the largest window sum, 9 * 255 = 2295. Every partial
+A Raster on the 8-bit grid (``raster.dn8``) is filtered in int16, which
+holds the largest window sum, 9 * 255 = 2295. Every partial
 sum, difference, minimum and maximum is then an exact integer, as it is
 in float64 on integral DN, so the results are the float path's bits at a
 quarter of the bytes per pixel. Any other Raster is filtered in float64.

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .colorspace import _require_rgb, ihs_forward, ihs_inverse
+from .colorspace import _require_rgb, ihs_forward, ihs_inverse, intensity
 # Unused: perfbench/tracer.py wraps them by attribute until ROADMAP item 1.
 from .colorspace import hsv_forward, hsv_inverse  # noqa: F401
 from .filtering import box_lpf, laplacian_hp, unsharp_mask
@@ -114,9 +114,7 @@ def fuse_ihs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     """
     _check_pair(ms, pan, "fuse_ihs")
     bands = _require_rgb(ms, "fuse_ihs")
-    i = np.add(bands[0], bands[1], dtype=np.float64)
-    i += bands[2]
-    i /= 3.0
+    i = intensity(*bands)
     delta = match_mean_std(operand(pan), i)
     delta -= i
     return _product([b + delta for b in bands], quantize)

@@ -6,16 +6,13 @@ image. Pixels whose denominator is zero are excluded from the ratio-based
 means and counted, rather than poisoning the average; a perfect SNR is
 reported as the +infinity sentinel.
 
-``evaluate_all`` takes one difference ``f - m`` per band for DI, SNR and
-NRMSE. When ``f`` carries uint8 samples (``raster.dn8``) and every sample
-of ``m`` is an integer in [0, 255] (a check memoised per MS band; 8-bit
-loads, their resamples and exact-DN 16-bit loads pass it), the sums of
-squares are reduced by ``np.einsum`` without a temporary: every product
-and partial sum is an integer below 2**53, so the value is ``np.sum``'s
-in any order. Other inputs keep ``np.sum``. Nothing here calls BLAS
-(``np.dot`` and kin): OpenBLAS's spinning worker threads take the core a
-batch's other pair thread needs. The zero counts of each MS band (DI)
-and of PAN (HPDI) are memoised on them.
+DI, SNR and NRMSE take one float64 difference ``f - m`` of the bands'
+operands (``raster.operand``), which ``evaluate_all`` shares between the
+three; their sums of squares are exact when both bands are on the 8-bit
+grid (:func:`_exact`). Nothing here calls BLAS (``np.dot`` and kin):
+OpenBLAS's spinning worker threads take the core a batch's other pair
+thread needs. The zero counts of each MS band (DI) and of PAN (HPDI) are
+memoised on them.
 """
 
 from __future__ import annotations
@@ -83,19 +80,6 @@ def _mean_ratio(num: np.ndarray, den: np.ndarray, excluded: int) -> float:
     return float(np.mean(num))
 
 
-def _on_grid(r: Raster) -> bool:
-    """Whether every sample of ``r`` is an integer in [0, 255]; memoised
-    on ``r``, so all methods scored against one MS band share it."""
-
-    def check() -> bool:
-        if dn8(r) is not None:
-            return True
-        a = r.samples
-        return bool(a.min() >= 0.0 and a.max() <= 255.0 and np.array_equal(np.floor(a), a))
-
-    return memoised(r, "_on_grid", check)
-
-
 def _zeros(r: Raster) -> int:
     """The number of zero samples of ``r``, counted once per Raster (on
     its uint8 samples when it has them)."""
@@ -109,11 +93,14 @@ def _zeros(r: Raster) -> int:
 
 def _exact(f: Raster, m: Raster) -> bool:
     """Whether the sums of squares of ``f`` and ``f - m`` are exact in
-    float64 whatever the summation order: true when ``f`` carries uint8
-    samples and ``m`` is on the grid, so every product is an integer of at
-    most 255**2 and every partial sum one below 2**53 (for bands under
-    1.38e11 pixels, 1.1 TB of float64 samples)."""
-    return dn8(f) is not None and _on_grid(m)
+    float64 in any order: true when both carry uint8 samples, so every
+    partial sum is an integer below 2**53 (for bands under 1.38e11 pixels)."""
+    return dn8(f) is not None and dn8(m) is not None
+
+
+def _difference(f: Raster, m: Raster) -> np.ndarray:
+    """``f - m`` as a fresh float64 array, from the bands' operands."""
+    return np.subtract(operand(f), operand(m), dtype=np.float64)
 
 
 def _sum_squares(a: np.ndarray, exact: bool) -> float:
@@ -150,22 +137,22 @@ def deviation_index(f: Raster, m: Raster) -> tuple[float, int]:
     pixels. Raises if every pixel is excluded.
     """
     _check_dims(f, m, "deviation_index")
-    return _deviation(np.abs(f.samples - m.samples), m)
+    d = _difference(f, m)
+    return _deviation(np.abs(d, out=d), m)
 
 
 def snr(f: Raster, m: Raster) -> float:
     """sqrt(sum f^2 / sum (f - m)^2); +inf when the error energy is zero."""
     _check_dims(f, m, "snr")
     exact = _exact(f, m)
-    return _snr(
-        _sum_squares(f.samples, exact), _sum_squares(f.samples - m.samples, exact)
-    )
+    return _snr(_sum_squares(operand(f), exact), _sum_squares(_difference(f, m), exact))
 
 
 def nrmse(f: Raster, m: Raster) -> float:
     """Root mean square error normalized by the 255 DN range."""
     _check_dims(f, m, "nrmse")
-    return _nrmse(_sum_squares(f.samples - m.samples, _exact(f, m)), f.samples.size)
+    d = _difference(f, m)
+    return _nrmse(_sum_squares(d, _exact(f, m)), d.size)
 
 
 def _spectral(f: Raster, m: Raster) -> list[tuple[float, int]]:
@@ -173,7 +160,7 @@ def _spectral(f: Raster, m: Raster) -> list[tuple[float, int]]:
     ``d = f - m``: its energy, shared by SNR and NRMSE, is taken first,
     then ``d`` becomes ``|d|`` in place for DI."""
     exact = _exact(f, m)
-    d = np.subtract(operand(f), operand(m), dtype=np.float64)
+    d = _difference(f, m)
     noise = _sum_squares(d, exact)
     signal = _sum_squares(operand(f), exact)
     np.abs(d, out=d)

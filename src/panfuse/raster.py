@@ -9,12 +9,13 @@ and :func:`clamp_quantize`, which products pass through once, at the end
 of fusion or at save time, so fusion arithmetic never loses fractional
 intermediates; both round straight into a fresh uint8 array.
 
-Rasters on the grid are thus every quantized result, every band
-:func:`load_pnm` reads from a maxval-255 file, and their resamples.
-Arithmetic reads their uint8 samples (:func:`operand`) wherever numpy
-promotes the result to float64, which is exact; uint8 combined with
-uint8 or an integer scalar would wrap. The 3x3 stencils in ``filtering``
-run on them in exact int16 arithmetic, with the float path's results.
+A Raster is on the 8-bit grid when ``dn8(r) is not None``, decided once
+when it is built: every quantized result, every loaded band whose
+rescaled DN are all integers (maxval 255 or a divisor of it, 16-bit DN *
+257), and their resamples. Arithmetic reads their uint8 samples
+(:func:`operand`) wherever numpy promotes the result to float64, which
+is exact; uint8 combined with uint8 or an integer scalar would wrap. The
+3x3 stencils in ``filtering`` run on them in exact int16 arithmetic.
 """
 
 from __future__ import annotations
@@ -134,9 +135,8 @@ _DN8 = "_dn8"
 
 
 def dn8(r: Raster):
-    """``r``'s samples as the read-only uint8 array it holds when it was
-    built from uint8 samples (a quantized result, a maxval-255 load or a
-    resample of either), else None. The values equal ``r.samples``."""
+    """The read-only uint8 array ``r`` holds when it is on the 8-bit grid
+    (see the module docstring), else None. The values equal ``r.samples``."""
     return r.__dict__.get(_DN8)
 
 
@@ -312,13 +312,15 @@ def load_pnm(path) -> Union[Raster, MultiBandImage]:
 
 
 def _loaded_band(values: np.ndarray, maxval: int) -> Raster:
-    """One band of a PNM payload, rescaled to [0, 255]. A maxval-255 band
-    keeps its samples as uint8 (see :func:`dn8`): a copy of the payload for
-    a binary file, a cast for an ASCII one. Its float64 samples are those
-    uint8 samples converted, which is ``x * 255 / 255`` exactly."""
-    if maxval != 255:
-        return Raster(values * 255.0 / maxval)
-    return Raster(values.astype(np.uint8, copy=False))
+    """One band of a PNM payload, rescaled to [0, 255] by ``value * 255 /
+    maxval``: as uint8 (see :func:`dn8`) when every rescaled DN is an
+    integer, else as float64. A maxval-255 band is cast with no arithmetic:
+    a copy of the payload for a binary file, a cast for an ASCII one."""
+    if maxval == 255:
+        return Raster(values.astype(np.uint8, copy=False))
+    scaled = values * 255.0 / maxval
+    dn = scaled.astype(np.uint8)
+    return Raster(dn if np.array_equal(dn, scaled) else scaled)
 
 
 def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:
@@ -391,31 +393,27 @@ def moments(a: np.ndarray) -> tuple[float, np.ndarray, float]:
     return mean, centred, float(np.mean(centred ** 2))
 
 
+def _quantize(a: np.ndarray, out=None) -> Raster:
+    """``a`` clamped to [0, 255] (into ``out`` if given), then rounded
+    half-up into a fresh uint8 array with the bits of ``floor(clip(a, 0,
+    255) + 0.5)``: the cast truncates, which on [0.5, 255.5] is ``floor``."""
+    a = np.clip(a, 0.0, 255.0, out=out)
+    return Raster(np.add(a, 0.5, out=np.empty(a.shape, np.uint8), casting="unsafe"))
+
+
 def quantize_in_place(a: np.ndarray) -> Raster:
     """``a``, a 2-D float64 array the caller owns and no longer needs,
     clamped to [0, 255] in its own buffer and rounded half-up to the
-    integer DN grid into a fresh uint8 array, as a Raster holding that
-    array (see :func:`dn8`).
-
-    ``a`` is checked first, so a non-finite sample raises ValueError as
-    :class:`Raster` does rather than being clamped into range. The result
-    has the bits of ``floor(clip(a, 0, 255) + 0.5)``: the cast to uint8
-    truncates, which on [0.5, 255.5] is ``floor``.
-    """
+    integer DN grid (see :func:`dn8`). ``a`` is checked first, so a
+    non-finite sample raises ValueError as :class:`Raster` does rather
+    than being clamped into range."""
     _require_finite(a)
-    np.clip(a, 0.0, 255.0, out=a)
-    return Raster(np.add(a, 0.5, out=np.empty(a.shape, np.uint8), casting="unsafe"))
+    return _quantize(a, out=a)
 
 
 def clamp_quantize(r: Raster) -> Raster:
     """Clamp to [0, 255] and round half-up to the integer DN grid, with
-    the bits of :func:`quantize_in_place` on a copy of ``r``'s samples:
-    the clamp writes a fresh array, which is then rounded into uint8.
-    ``r`` was checked for non-finite samples when it was built.
-
-    A Raster on the grid (see :func:`dn8`) is returned unchanged.
-    """
-    if dn8(r) is not None:
-        return r
-    a = np.clip(r.samples, 0.0, 255.0)
-    return Raster(np.add(a, 0.5, out=np.empty(a.shape, np.uint8), casting="unsafe"))
+    the bits of :func:`quantize_in_place` on a copy of ``r``'s samples
+    (checked for non-finite samples when ``r`` was built). A Raster on the
+    grid (see :func:`dn8`) is returned unchanged."""
+    return r if dn8(r) is not None else _quantize(r.samples)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -19,6 +20,7 @@ from .metrics import METRIC_ORDER, MetricRecord, band_average
 __all__ = [
     "CSV_HEADER",
     "plain_file_name",
+    "xml_text",
     "write_csv",
     "read_csv",
     "repeated_rows",
@@ -41,12 +43,23 @@ _PALETTE = (
 )
 
 
+# What XML 1.0 cannot carry: C0 controls other than tab, LF and CR; U+FFFE, U+FFFF.
+_CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
+def xml_text(text: str) -> bool:
+    """Whether a chart can carry ``text``: it holds no C0 control
+    character other than tab, LF and CR, and neither U+FFFE nor U+FFFF."""
+    return _CONTROL.search(text) is None
+
+
 def plain_file_name(name: str) -> bool:
-    """Whether ``name`` is one plain path component that the OS can open
-    and that stays inside its directory: non-empty, no ``/``, ``\\`` or
-    NUL, and neither ``.`` nor ``..``. An absolute path always contains a
-    separator."""
-    return bool(name) and not any(c in name for c in "/\\\0") and name not in (".", "..")
+    """Whether ``name`` is one plain path component that the OS can open,
+    that stays inside its directory and that a chart can carry: non-empty,
+    :func:`xml_text` (so no NUL), no ``/`` or ``\\``, and neither ``.``
+    nor ``..``. An absolute path always contains a separator."""
+    separator = "/" in name or "\\" in name
+    return bool(name) and xml_text(name) and not separator and name not in (".", "..")
 
 
 def write_csv(records: list[MetricRecord], path, append: bool = False) -> None:
@@ -69,7 +82,9 @@ def read_csv(path) -> list[MetricRecord]:
 
     Raises:
         ValueError: wrong header, malformed row or CSV syntax (named by
-            line number), or a header-only file ("no records").
+            line number), or a header-only file ("no records"). A row no
+            chart can carry is malformed: ``pair_id``, ``method`` or
+            ``metric`` not :func:`xml_text`, or a magnitude above 1e300.
     """
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
@@ -91,6 +106,9 @@ def read_csv(path) -> list[MetricRecord]:
                         f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
                     )
                 pair_id, method, band, metric, value_s, excluded_s = row
+                for name, text in (("pair_id", pair_id), ("method", method)):
+                    if not xml_text(text):
+                        raise ValueError(f"line {line}: bad {name} {text!r}")
                 # A metric names its chart file in the report directory.
                 if not plain_file_name(metric):
                     raise ValueError(f"line {line}: bad metric {metric!r}")
@@ -103,7 +121,8 @@ def read_csv(path) -> list[MetricRecord]:
                     value = float(value_s)
                 except ValueError:
                     raise ValueError(f"line {line}: bad value {value_s!r}") from None
-                if math.isnan(value) or value == -math.inf:  # this package writes neither
+                # This package writes no NaN or -inf; past 1e300 a chart axis can overflow.
+                if math.isnan(value) or value == -math.inf or 1e300 < abs(value) < math.inf:
                     raise ValueError(f"line {line}: bad value {value_s!r}")
                 # A count is plain ASCII digits: no sign, underscore or
                 # other form int() accepts.
@@ -174,8 +193,8 @@ def chart_values(records: list[MetricRecord]):
 def _nice_ceil(v: float) -> float:
     if v <= 0.0:
         return 1.0
-    exponent = math.floor(math.log10(v))
-    magnitude = 10.0 ** exponent
+    # 10.0 ** -324 underflows to 0, which would leave the axis no span.
+    magnitude = 10.0 ** max(math.floor(math.log10(v)), -323)
     for mult in (1.0, 2.0, 5.0, 10.0):
         if v <= mult * magnitude * (1.0 + 1e-12):
             return mult * magnitude
@@ -199,17 +218,9 @@ def grouped_bar_chart_svg(
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    finite = [
-        values[(metric, p, m)]
-        for p in pairs
-        for m in methods
-        if (metric, p, m) in values and math.isfinite(values[(metric, p, m)])
-    ]
-    has_inf = any(
-        (metric, p, m) in values and math.isinf(values[(metric, p, m)])
-        for p in pairs
-        for m in methods
-    )
+    shown = [values[(metric, p, m)] for p in pairs for m in methods if (metric, p, m) in values]
+    finite = [v for v in shown if math.isfinite(v)]
+    has_inf = any(math.isinf(v) for v in shown)
     vmax = _nice_ceil(max(finite)) if finite and max(finite) > 0 else 1.0
     vmin = 0.0
     if finite and min(finite) < 0:

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .colorspace import intensity
 from .filtering import box_lpf
-from .raster import MultiBandImage, Raster, clamp_quantize, resample_nearest, save_pnm
+from .raster import MultiBandImage, Raster, clamp_quantize, operand, resample_nearest, save_pnm
 
 __all__ = ["SyntheticSpec", "synthesize", "generate_pair"]
 
@@ -49,7 +50,7 @@ class SyntheticSpec:
 
 def _block_average(r: Raster, factor: int) -> Raster:
     h, w = r.height // factor, r.width // factor
-    blocks = r.samples.reshape(h, factor, w, factor)
+    blocks = operand(r).reshape(h, factor, w, factor)
     return Raster(blocks.mean(axis=(1, 3)))
 
 
@@ -70,12 +71,7 @@ def synthesize(spec: SyntheticSpec) -> tuple[MultiBandImage, Raster, MultiBandIm
         channels.append(clamp_quantize(plane))
     reference = MultiBandImage(tuple(channels))
 
-    intensity = (
-        reference.bands[0].samples
-        + reference.bands[1].samples
-        + reference.bands[2].samples
-    ) / 3.0
-    pan = clamp_quantize(Raster(intensity))
+    pan = clamp_quantize(Raster(intensity(*(operand(b) for b in reference.bands))))
 
     coarse = tuple(
         clamp_quantize(_block_average(b, spec.scale_factor)) for b in reference.bands

@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from panfuse.filtering import box_lpf, laplacian_hp, unsharp_mask
 from panfuse import metrics
-from panfuse.fusion import FUSION_METHODS
+from panfuse.fusion import FUSION_METHODS, fuse
 from panfuse.metrics import csa, deviation_index, evaluate_all, nrmse, snr
 from panfuse.raster import (
     MultiBandImage,
@@ -33,6 +33,7 @@ from panfuse.raster import (
     resample_nearest,
     save_pnm,
 )
+from panfuse.synthetic import SyntheticSpec, synthesize
 
 # 1x1, 1xn and nx1 are all drawn; the examples pin the extremes 0 and 255.
 shapes = st.tuples(st.integers(1, 9), st.integers(1, 9))
@@ -154,21 +155,21 @@ def spectral_results(f, m):
 
 def sixteen_bit(a):
     """``a`` stored as a maxval-65535 P5 file and loaded: 65535 = 257 * 255,
-    so every sample comes back as the exact DN."""
+    so every sample comes back as the exact DN, held as uint8."""
     h, w = a.shape
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "w.pgm"
         p.write_bytes(f"P5\n{w} {h}\n65535\n".encode() + (a.astype(">u2") * 257).tobytes())
         r = load_pnm(p)
-    assert dn8(r) is None
+    assert dn8(r) is not None
     return r
 
 
 def references(coarse):
-    """Rasters on the grid without uint8 samples, twice ``coarse``'s size:
-    hand-built, loaded from a 16-bit file, resampled from a hand-built and
-    a 16-bit-loaded coarse band, and a float64 copy of the resample of an
-    8-bit-loaded one (which itself holds uint8 samples)."""
+    """Integral references twice ``coarse``'s size: hand-built, loaded from
+    a 16-bit file, a float64 copy of the resample of an 8-bit-loaded band,
+    and resampled from a hand-built and a 16-bit-loaded coarse band. Only
+    the 16-bit loads and their resample hold uint8 samples."""
     h, w = coarse.shape
     fine = np.repeat(np.repeat(coarse, 2, axis=0), 2, axis=1)
     loaded = resample_nearest(gridded(coarse)[1], 2 * w, 2 * h)
@@ -176,8 +177,8 @@ def references(coarse):
     refs = [hand_built(fine), sixteen_bit(fine), hand_built(loaded.samples)] + [
         resample_nearest(r, 2 * w, 2 * h) for r in (hand_built(coarse), sixteen_bit(coarse))
     ]
+    assert [dn8(r) is not None for r in refs] == [False, True, False, False, True]
     for r in refs:
-        assert dn8(r) is None
         assert np.array_equal(r.samples, fine)
     return refs
 
@@ -198,7 +199,9 @@ def test_single_pass_on_the_grid_gives_the_oracle_bits(planes):
     fine = np.repeat(np.repeat(other, 2, axis=0), 2, axis=1)
     for f in gridded(fine):
         for m in references(coarse):
-            assert metrics._exact(f, m)
+            # Hand-built references take the np.sum path, which gives the
+            # same value on integers.
+            assert metrics._exact(f, m) == (dn8(m) is not None)
             assert spectral_results(f, m) == spectral_oracle(f, m)
 
 
@@ -207,10 +210,11 @@ def test_largest_sharpen_size_sums_are_exact():
     squares a band of that size can: 255**2 * 2**20."""
     full = clamp_quantize(Raster.constant(1024, 1024, 255.0))
     empty = clamp_quantize(Raster.constant(1024, 1024, 0.0))
-    for f, m in ((full, hand_built(empty.samples)), (empty, hand_built(full.samples))):
+    for f, m in ((full, empty), (empty, full)):
         assert metrics._exact(f, m)
-        assert metrics._sum_squares(f.samples - m.samples, True) == 255.0 ** 2 * 2 ** 20
+        assert metrics._sum_squares(metrics._difference(f, m), True) == 255.0 ** 2 * 2 ** 20
         assert spectral_results(f, m) == spectral_oracle(f, m)
+        assert spectral_results(f, hand_built(dn8(m))) == spectral_oracle(f, m)
 
 
 OFF_GRID = {
@@ -435,6 +439,15 @@ def fine(a):
     return np.repeat(np.repeat(a, 2, axis=0), 2, axis=1)
 
 
+def binary_pnm(stored, maxval, path):
+    """``stored`` ((h, w) or (h, w, 3) integers) as a binary PNM file."""
+    h, w = stored.shape[:2]
+    magic = b"P5" if stored.ndim == 2 else b"P6"
+    dtype = "u1" if maxval <= 255 else ">u2"
+    path.write_bytes(magic + f"\n{w} {h}\n{maxval}\n".encode() + stored.astype(dtype).tobytes())
+    return path
+
+
 # R = 0 against G = 255 and the other way round: r + g, r - g and -r
 # would each wrap if taken in uint8.
 @given(fusion_inputs())
@@ -443,20 +456,58 @@ def fine(a):
 @example((1, np.stack([EXTREMES, 255 - EXTREMES, np.zeros_like(EXTREMES), EXTREMES])))
 @settings(deadline=None, max_examples=40)
 def test_fusion_on_loaded_8bit_inputs_matches_float64_copies(inputs):
+    """MS and PAN loaded from maxval-255 binary and ASCII files and from
+    16-bit files storing DN * 257 give the bytes of hand-built float64
+    copies. So does a maxval-510 P6 whose first two bands store 2 * DN
+    (exact, held as uint8) and whose third stores 2 * DN + 1 (DN + 0.5,
+    held as float64, except where DN is 255)."""
     f, planes = inputs
     h, w = planes.shape[1:]
     coarse = np.ascontiguousarray(planes[:3, ::f, ::f].transpose(1, 2, 0))
-    ms = resample_nearest(
-        MultiBandImage(tuple(hand_built(coarse[:, :, c]) for c in range(3))), w, h
-    )
-    pan = hand_built(planes[3])
+    mixed = coarse.astype(np.uint16) * 2
+    mixed[:, :, 2] = np.minimum(mixed[:, :, 2] + 1, 510)
+
+    def copies(ms_planes):
+        bands = tuple(hand_built(ms_planes[:, :, c]) for c in range(3))
+        return resample_nearest(MultiBandImage(bands), w, h)
+
+    ms, pan = copies(coarse), hand_built(planes[3])
     with tempfile.TemporaryDirectory() as dm, tempfile.TemporaryDirectory() as dp:
         ms_files, pan_files = pnm_files(coarse, dm), pnm_files(planes[3], dp)
-        loads = [(load_pnm(m), load_pnm(p)) for m, p in zip(ms_files, pan_files)]
-    for ms8, pan8 in loads:
+        ms_files += (binary_pnm(coarse.astype(np.uint16) * 257, 65535, Path(dm) / "w.ppm"),)
+        pan_files += (binary_pnm(planes[3].astype(np.uint16) * 257, 65535, Path(dp) / "w.pgm"),)
+        loads = [(load_pnm(m), load_pnm(p), ms) for m, p in zip(ms_files, pan_files)]
+        mixed_ms = load_pnm(binary_pnm(mixed, 510, Path(dm) / "m.ppm"))
+    assert all(dn8(b) is not None for ms8, pan8, _ in loads for b in (*ms8.bands, pan8))
+    fractional = bool(np.any(coarse[:, :, 2] < 255))
+    assert [dn8(b) is None for b in mixed_ms.bands] == [False, False, fractional]
+    loads.append((mixed_ms, loads[0][1], copies(mixed * 255.0 / 510)))
+    for ms8, pan8, want_ms in loads:
         ms8 = resample_nearest(ms8, w, h)
-        assert all(dn8(b) is not None for b in (*ms8.bands, pan8))
         for name, method in FUSION_METHODS.items():
             for quantize in (True, False):
-                want = fused(method, ms, pan, quantize)
+                want = fused(method, want_ms, pan, quantize)
                 assert fused(method, ms8, pan8, quantize) == want, (name, quantize)
+
+
+def test_no_uint8_raster_derives_float64_samples(tmp_path, monkeypatch):
+    """Synthesis, the public DI/SNR/NRMSE, and fusing, saving and scoring
+    with every method read 8-bit rasters through their uint8 samples: no
+    Raster on the grid ever makes its float64 ``samples``."""
+    derived = []
+    derive = Raster.__getattr__
+
+    def spy(r, name):
+        if name == "samples":
+            derived.append(r)
+        return derive(r, name)
+
+    monkeypatch.setattr(Raster, "__getattr__", spy)
+    ms, pan, reference = synthesize(SyntheticSpec(seed=4, width=32, height=32))
+    for f, m in zip(reference.bands, ms.bands):
+        deviation_index(f, m), snr(f, m), nrmse(f, m)
+    for name in FUSION_METHODS:
+        product = fuse(name, ms, pan)
+        save_pnm(product, tmp_path / f"{name}.ppm")
+        evaluate_all(ms, pan, product, "p", name)
+    assert derived == []

@@ -197,6 +197,26 @@ class TestEvaluateCommand:
         assert "--csa-percentile must be a number in (0, 100)" in capsys.readouterr().err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("pair_id", ["a\x01b", "\x1f", "x\x0b"])
+    def test_control_character_in_pair_id_is_usage_error(self, pair_dir, capsys, pair_id):
+        csv = pair_dir / "m.csv"
+        code = main(
+            [
+                "evaluate",
+                "--ms", str(pair_dir / "ms.ppm"),
+                "--pan", str(pair_dir / "pan.pgm"),
+                "--fused", str(pair_dir / "ms.ppm"),
+                "--pair-id", pair_id,
+                "--method", "sf",
+                "--csv", str(csv),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: --pair-id must not contain control characters, got {pair_id!r}\n"
+        )
+        assert not csv.exists()
+
     def test_dim_mismatch_fails(self, pair_dir, capsys):
         bad = pair_dir / "bad.ppm"
         save_pnm(
@@ -372,7 +392,7 @@ class TestManifestValidation:
         assert "pairs[0]: ms_resolution_m must be >= pan_resolution_m" in err
 
     @pytest.mark.parametrize(
-        "pair_id", ["../escaped", "..", ".", "a/b", "a\\b", "/tmp/abs", "a\u0000b"]
+        "pair_id", ["../escaped", "..", ".", "a/b", "a\\b", "/tmp/abs", "a\u0000b", "a\u0001b"]
     )
     def test_pair_id_must_be_one_path_component(self, pair_dir, capsys, pair_id):
         payload = {
@@ -815,6 +835,23 @@ class TestReportCommand:
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: line 3: bad metric {metric!r}\n"
         assert sorted(pair_dir.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "rows, err",
+        [
+            ("p,SF,1,DI,0.5,0\n\x01,SF,1,DI,0.5,0", "line 3: bad pair_id '\\x01'"),
+            ("p,SF,1,DI,1.5e308,0", "line 2: bad value '1.5e308'"),
+            ("p,SF,1,DI,9e307,0\np,IHS,1,DI,-9e307,0", "line 2: bad value '9e307'"),
+        ],
+    )
+    def test_row_the_chart_cannot_carry_is_usage_error(self, pair_dir, capsys, rows, err):
+        """A control character makes the SVG ill-formed XML, and values
+        this large overflow the axis into NaN coordinates."""
+        csv = pair_dir / "m.csv"
+        csv.write_text(f"pair_id,method,band,metric,value,excluded_pixels\n{rows}\n")
+        assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {err}")
+        assert not (pair_dir / "c").exists()
 
     def test_oversized_field_is_usage_error(self, pair_dir, capsys):
         csv = pair_dir / "m.csv"

@@ -601,10 +601,40 @@ class TestDn8:
         ],
     )
     def test_absent_after_other_maxval_loads(self, tmp_path, data):
+        """Other maxvals rescale by value * 255 / maxval, decided per band:
+        a band whose rescaled DN are all integers (DN * 257 at maxval
+        65535, any value at a maxval that divides 255) is on the grid;
+        only one with a fractional DN (maxval 100's 50 -> 127.5) is not."""
         p = tmp_path / "a.pnm"
         p.write_bytes(data)
-        for band in bands_of(load_pnm(p)):
-            assert dn8(band) is None
+        bands = bands_of(load_pnm(p))
+        fractional = [bool(np.any(b.samples % 1.0)) for b in bands]
+        assert fractional == ([False, False, True] if data.startswith(b"P3") else [False])
+        for band, off_grid in zip(bands, fractional):
+            if off_grid:
+                assert dn8(band) is None
+            else:
+                self.assert_on_grid(band)
+
+    @given(
+        st.integers(1, 65535),
+        st.lists(st.integers(0, 65535), min_size=1, max_size=8),
+        st.sampled_from([b"P2", b"P5"]),
+    )
+    @settings(deadline=None)
+    def test_loaded_band_is_on_the_grid_iff_its_dn_are_integers(self, maxval, raw, magic):
+        values = [v % (maxval + 1) for v in raw]
+        header = magic + f"\n{len(values)} 1\n{maxval}\n".encode()
+        if magic == b"P2":
+            data = header + " ".join(map(str, values)).encode()
+        else:
+            data = header + np.array(values, ">u2" if maxval > 255 else "u1").tobytes()
+        with tempfile.TemporaryDirectory() as d:
+            (Path(d) / "a.pgm").write_bytes(data)
+            band = load_pnm(Path(d) / "a.pgm")
+        want = np.array([values], dtype=np.float64) * 255.0 / maxval
+        assert band.samples.tobytes() == want.tobytes()
+        assert (dn8(band) is not None) == all(v * 255 % maxval == 0 for v in values)
 
     def test_absent_on_float_rasters_and_kept_by_resampling(self, tmp_path):
         hand_built = Raster(np.array([[0.0, 13.0, 255.0]]))

@@ -1,7 +1,9 @@
 """CSV interchange and SVG chart generation."""
 
+import csv
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -151,6 +153,31 @@ class TestReadCsvErrors:
         with pytest.raises(ValueError, match=re.escape(f"line 3: bad metric {metric!r}")):
             read_csv(path)
 
+    @pytest.mark.parametrize("control", ["\x01", "\x08", "\x0b", "\x0c", "\x1f", "\uffff"])
+    @pytest.mark.parametrize("field", ["pair_id", "method", "metric"])
+    def test_control_characters_are_rejected(self, tmp_path, field, control):
+        """C0 controls other than tab, LF and CR, and U+FFFE and U+FFFF,
+        cannot appear in XML 1.0, and these fields are written into charts."""
+        names = {"pair_id": "p", "method": "SF", "metric": "DI"}
+        names[field] = f"a{control}b"
+        path = tmp_path / "m.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([
+                CSV_HEADER,
+                ["p", "SF", 1, "DI", 0.5, 0],
+                [names["pair_id"], names["method"], 1, names["metric"], 0.5, 0],
+            ])
+        want = f"line 3: bad {field} {names[field]!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            read_csv(path)
+
+    @pytest.mark.parametrize("value", ["1.5e308", "-9e307", "1.0000000000000002e300"])
+    def test_values_beyond_the_chart_range_are_rejected(self, tmp_path, value):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,{value},0\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 2: bad value {value!r}")):
+            read_csv(path)
+
 
 @pytest.mark.parametrize(
     "name, plain",
@@ -165,6 +192,10 @@ class TestReadCsvErrors:
         ("a/b", False),
         ("a\\b", False),
         ("a\0b", False),
+        ("a\x01b", False),
+        ("a\x1fb", False),
+        ("a\ufffeb", False),
+        ("a\tb", True),
         ("/abs", False),
     ],
 )
@@ -278,6 +309,29 @@ class TestSvgChart:
         assert "S&amp;F" in svg
 
 
+def svg_numbers(svg: str) -> list[float]:
+    """Every coordinate and size attribute of ``svg``, which must parse."""
+    numeric = ("x", "y", "x1", "y1", "x2", "y2", "width", "height")
+    return [
+        float(e.get(a)) for e in ET.fromstring(svg.encode()).iter() for a in numeric
+        if e.get(a) is not None
+    ]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (1e300, 0.5), (-1e300, 1e300), (-1e300, -2.0), (1e300, 1e300), (5.0, 1e-300),
+        (5e-324,), (-5e-324, 0.0), (1e-323, -7e-323),
+    ],
+)
+def test_values_at_the_chart_range_give_finite_coordinates(values):
+    records = [rec(f"p{k}", "SF", "avg", "DI", v) for k, v in enumerate(values)]
+    _, pairs, methods, chart = chart_values(records)
+    numbers = svg_numbers(grouped_bar_chart_svg("DI", pairs, methods, chart))
+    assert numbers and all(math.isfinite(n) for n in numbers)
+
+
 class TestRenderReports:
     def test_one_svg_per_metric(self, tmp_path):
         records = SAMPLE + [rec("p1", "SF", "avg", "SNR", 12.0)]
@@ -305,3 +359,8 @@ class TestRenderReports:
         with pytest.raises(ValueError, match="bad metric"):
             render_reports(records, svg_dir)
         assert list(tmp_path.rglob("*")) == []
+
+    def test_tab_in_a_label_keeps_the_chart_well_formed(self, tmp_path):
+        records = [rec("p\t1", "SF", "avg", "DI", 0.5), rec("p2", "SF", "avg", "DI", -0.5)]
+        (path,) = render_reports(records, tmp_path)
+        assert all(math.isfinite(n) for n in svg_numbers(path.read_text(encoding="utf-8")))
