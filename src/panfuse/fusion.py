@@ -193,8 +193,8 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
 def fuse_ef(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
     """Edge fusion: each band gets PAN's Laplacian high-pass plane."""
     _check_pair(ms, pan, "fuse_ef")
-    edges = laplacian_hp(pan).samples
-    return _product([operand(b) + edges for b in ms.bands], quantize)
+    edges = operand(laplacian_hp(pan))
+    return _product([np.add(operand(b), edges, dtype=np.float64) for b in ms.bands], quantize)
 
 
 FUSION_METHODS = {

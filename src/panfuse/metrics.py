@@ -6,10 +6,12 @@ image. Pixels whose denominator is zero are excluded from the ratio-based
 means and counted, rather than poisoning the average; a perfect SNR is
 reported as the +infinity sentinel.
 
-DI, SNR and NRMSE take one float64 difference ``f - m`` of the bands'
-operands (``raster.operand``), which ``evaluate_all`` shares between the
-three; their sums of squares are exact when both bands are on the 8-bit
-grid (:func:`_exact`). Nothing here calls BLAS (``np.dot`` and kin):
+DI, SNR and NRMSE take one difference ``f - m`` of the bands' operands
+(``raster.operand``), which ``evaluate_all`` shares between the three.
+On the 8-bit grid (:func:`_exact`) it is int16, the sums of squares are
+exact integers, and the spatial metrics read int16 Laplacians: every
+metric has the bits it has on float64 copies of the same bands.
+Nothing here calls BLAS (``np.dot`` and kin):
 OpenBLAS's spinning worker threads take the core a batch's other pair
 thread needs. The zero counts of each MS band (DI) and of PAN (HPDI) are
 memoised on them.
@@ -23,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .filtering import laplacian_hp, stencil_input, window3x3
+from .filtering import laplacian_hp, window3x3
 from .raster import MultiBandImage, Raster, dn8, memoised, moments, operand
 
 __all__ = [
@@ -70,14 +72,14 @@ def _check_dims(a: Raster, b: Raster, op: str) -> None:
 
 def _mean_ratio(num: np.ndarray, den: np.ndarray, excluded: int) -> float:
     """Mean of num / den over the pixels where den is nonzero; ``num`` is
-    a scratch array. With nothing excluded it divides in place over the
-    whole array: the same elements in the same order as the compacted
+    a scratch array. With nothing excluded it divides over the whole
+    array, in place when ``num`` is float64 and else into one fresh
+    float64 array: the same elements in the same order as the compacted
     path, so ``np.mean`` gives the same bits without the mask copies."""
     if excluded:
-        valid = den != 0.0
+        valid = den != 0
         return float(np.mean(num[valid] / den[valid]))
-    num /= den
-    return float(np.mean(num))
+    return float(np.mean(np.divide(num, den, out=num if num.dtype == np.float64 else None)))
 
 
 def _zeros(r: Raster) -> int:
@@ -92,30 +94,31 @@ def _zeros(r: Raster) -> int:
 
 
 def _exact(f: Raster, m: Raster) -> bool:
-    """Whether the sums of squares of ``f`` and ``f - m`` are exact in
-    float64 in any order: true when both carry uint8 samples, so every
-    partial sum is an integer below 2**53 (for bands under 1.38e11 pixels)."""
+    """Whether ``f - m`` and the sums of squares of ``f`` and ``f - m``
+    are taken in integers: true when both carry uint8 samples."""
     return dn8(f) is not None and dn8(m) is not None
 
 
 def _difference(f: Raster, m: Raster) -> np.ndarray:
-    """``f - m`` as a fresh float64 array, from the bands' operands."""
-    return np.subtract(operand(f), operand(m), dtype=np.float64)
+    """``f - m`` as a fresh array from the bands' operands: int16 when
+    :func:`_exact`, else float64."""
+    return np.subtract(operand(f), operand(m), dtype=np.int16 if _exact(f, m) else np.float64)
 
 
 def _sum_squares(a: np.ndarray, exact: bool) -> float:
-    """The sum of ``a ** 2`` in float64, for float64 or uint8 ``a``. When
-    ``exact`` (see :func:`_exact`) it is reduced without a temporary by
-    ``einsum``, whose loop does not go through BLAS; any summation order
-    gives ``np.sum``'s value there. Otherwise it is ``np.sum``, whose
-    pairwise bits the einsum loop would not reproduce on fractional samples."""
+    """The sum of ``a ** 2``. When ``exact`` (see :func:`_exact`), ``a``
+    holds uint8 samples or their int16 difference, and the sum is taken
+    in int64; below 2**53, which a band of under 1.38e11 pixels stays,
+    that is the value ``np.sum`` gives in float64 in any order.
+    Otherwise it is ``np.sum`` of the float64 squares."""
     if exact:
-        return float(np.einsum("ij,ij->", a, a, dtype=np.float64))
+        square = np.square(a, dtype=np.uint16 if a.dtype == np.uint8 else np.int32)
+        return float(square.sum(dtype=np.int64))
     return float(np.sum(np.square(a, dtype=np.float64)))
 
 
 def _deviation(abs_diff: np.ndarray, m: Raster) -> tuple[float, int]:
-    """DI from ``|f - m|``, which it divides in place."""
+    """DI from ``|f - m|``, a scratch array (see :func:`_mean_ratio`)."""
     excluded = _zeros(m)
     if excluded == abs_diff.size:
         raise ValueError("undefined DI: reference band is zero everywhere")
@@ -167,18 +170,22 @@ def _spectral(f: Raster, m: Raster) -> list[tuple[float, int]]:
     return [_deviation(d, m), (_snr(signal, noise), 0), (_nrmse(noise, d.size), 0)]
 
 
-def _centred(r: Raster) -> tuple[np.ndarray, float]:
-    """The samples minus their mean, read-only, and their population std."""
-    _, dy, variance = moments(r.samples)
-    dy.flags.writeable = False
+def _centred(r: Raster, writeable: bool = True) -> tuple[np.ndarray, float]:
+    """The operand minus its mean, a fresh float64 array, and its
+    population std. On integers the mean's sum is exact, so it has the
+    bits of the float64 samples' mean."""
+    _, dy, variance = moments(operand(r))
+    dy.flags.writeable = writeable
     return dy, math.sqrt(variance)
 
 
 def _correlate(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
+    """Pearson correlation of two centred planes; ``x``'s is a scratch
+    array that takes the product."""
     (dx, sx), (dy, sy) = x, y
     if sx == 0.0 or sy == 0.0:
         raise ValueError("undefined correlation: zero-variance input")
-    return float(np.mean(dx * dy)) / (sx * sy)
+    return float(np.mean(np.multiply(dx, dy, out=dx))) / (sx * sy)
 
 
 def pearson(a: Raster, b: Raster) -> float:
@@ -197,7 +204,7 @@ def fcc(fused_band: Raster, pan: Raster) -> float:
     """
     _check_dims(fused_band, pan, "fcc")
     pan_hp = laplacian_hp(pan)
-    pan_side = memoised(pan_hp, "_centred", lambda: _centred(pan_hp))
+    pan_side = memoised(pan_hp, "_centred", lambda: _centred(pan_hp, writeable=False))
     return _correlate(_centred(laplacian_hp(fused_band)), pan_side)
 
 
@@ -212,14 +219,21 @@ def hpdi(fused_band: Raster, pan: Raster) -> tuple[float, int]:
     excluded = _zeros(pan)
     if excluded == pan.width * pan.height:
         raise ValueError("undefined HPDI: PAN is zero everywhere")
-    diff = np.abs(laplacian_hp(fused_band).samples - laplacian_hp(pan).samples)
-    return _mean_ratio(diff, operand(pan), excluded), excluded
+    # int16 (within +-4080) when both Laplacians are.
+    diff = np.subtract(operand(laplacian_hp(fused_band)), operand(laplacian_hp(pan)))
+    return _mean_ratio(np.abs(diff, out=diff), operand(pan), excluded), excluded
 
 
 def _local_michelson(band: Raster) -> np.ndarray:
-    lo, hi = window3x3(stencil_input(band), np.minimum, np.maximum)
+    """(max - min) / (max + min) over each 3x3 window; 0 where max + min is 0."""
+    dn = dn8(band)
+    if dn is not None:
+        lo, hi = window3x3(dn, np.minimum, np.maximum)
+        # lo >= 0, so max + min is 0 only where max - min is: 0 / 1 there.
+        total = np.add(hi, lo, dtype=np.uint16)
+        return np.divide(hi - lo, np.maximum(total, 1, out=total))
+    lo, hi = window3x3(band.samples, np.minimum, np.maximum)
     total = hi + lo
-    # Not zeros_like: on int16 input the float64 quotient needs its own dtype.
     contrast = np.zeros(total.shape)
     np.divide(hi - lo, total, out=contrast, where=total != 0.0)
     return contrast
@@ -228,7 +242,7 @@ def _local_michelson(band: Raster) -> np.ndarray:
 def _pan_classes(pan_hp: Raster, percentile: float) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the edge and homogeneous pixels of a PAN's
     Laplacian plane; raises, memoising nothing, if either class is empty."""
-    magnitude = np.abs(pan_hp.samples)
+    magnitude = np.abs(operand(pan_hp))
     threshold = float(np.percentile(magnitude, percentile))
     edge_mask = magnitude >= threshold
     edge, homog = np.flatnonzero(edge_mask), np.flatnonzero(~edge_mask)

@@ -2,8 +2,8 @@
 quantization.
 
 Pixel data is carried as digital numbers (DN). A Raster built from uint8
-samples holds only that array (:func:`dn8`) and derives its float64
-samples on first read; any other Raster holds float64 samples.
+or int16 samples holds only that array (:func:`operand`) and derives its
+float64 samples on first read; any other Raster holds float64 samples.
 Quantization to the 8-bit grid happens only in :func:`quantize_in_place`
 and :func:`clamp_quantize`, which products pass through once, at the end
 of fusion or at save time, so fusion arithmetic never loses fractional
@@ -15,7 +15,8 @@ rescaled DN are all integers (maxval 255 or a divisor of it, 16-bit DN *
 257), and their resamples. Arithmetic reads their uint8 samples
 (:func:`operand`) wherever numpy promotes the result to float64, which
 is exact; uint8 combined with uint8 or an integer scalar would wrap. The
-3x3 stencils in ``filtering`` run on them in exact int16 arithmetic.
+3x3 stencils in ``filtering`` run on them in exact int16 arithmetic, and
+a Laplacian keeps its int16 result.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ T = TypeVar("T")
 class Raster:
     """Single-band 2-D grid of real-valued DN, shape (height, width).
 
-    A C-contiguous float64 or uint8 array that owns its data is frozen in
-    place; anything else, a view of another array included, is copied
-    first. A uint8 array is kept, and ``samples``, its read-only float64
-    conversion, is made on first read and memoised. Other integer and
-    bool arrays are converted to float64 once and not checked for
-    non-finite samples, which they cannot hold; anything else is checked
-    after its conversion (see :func:`_require_finite`).
+    A C-contiguous float64, uint8 or int16 array that owns its data is
+    frozen in place; anything else, a view of another array included, is
+    copied first. A uint8 or int16 array is kept, and ``samples``, its
+    read-only float64 conversion, is made on first read and memoised.
+    Other integer and bool arrays are converted to float64 once and not
+    checked for non-finite samples, which they cannot hold; anything else
+    is checked after its conversion (see :func:`_require_finite`).
     """
 
     samples: np.ndarray
@@ -60,7 +61,8 @@ class Raster:
     def __post_init__(self):
         a = self.samples
         integral = isinstance(a, np.ndarray) and a.dtype.kind in "biu"
-        a = np.asarray(a, dtype=np.uint8 if integral and a.dtype == np.uint8 else np.float64)
+        kept = integral and a.dtype in _KEPT_DTYPES
+        a = np.asarray(a, dtype=a.dtype if kept else np.float64)
         if a.ndim != 2:
             raise ValueError(f"raster samples must be 2-D, got {a.ndim}-D")
         if a.shape[0] < 1 or a.shape[1] < 1:
@@ -71,16 +73,16 @@ class Raster:
         if a.base is not None:
             a = a.copy()
         a.flags.writeable = False
-        del self.__dict__["samples"]  # a uint8 array is kept under _DN8
-        self.__dict__[_DN8 if a.dtype == np.uint8 else "samples"] = a
+        del self.__dict__["samples"]  # a uint8 or int16 array is kept under _KEPT
+        self.__dict__[_KEPT if kept else "samples"] = a
 
     def __getattr__(self, name):
-        # Reached for "samples" only before the first read of a uint8
-        # Raster's float64 samples; memoised under memoised's thread rule.
-        dn = self.__dict__.get(_DN8)
-        if name != "samples" or dn is None:
+        # Reached for "samples" only before the first read of a uint8 or
+        # int16 Raster's float64 samples; memoised under memoised's thread rule.
+        kept = self.__dict__.get(_KEPT)
+        if name != "samples" or kept is None:
             raise AttributeError(name)
-        samples = dn.astype(np.float64)
+        samples = kept.astype(np.float64)
         samples.flags.writeable = False
         return self.__dict__.setdefault("samples", samples)
 
@@ -130,22 +132,24 @@ def memoised(r: Raster, key: Hashable, compute: Callable[[], T]) -> T:
     return value
 
 
-# Instance-dict key of the read-only uint8 samples of a Raster built from them.
-_DN8 = "_dn8"
+# The integer dtypes a Raster keeps, and the instance-dict key it keeps them under.
+_KEPT_DTYPES = (np.dtype(np.uint8), np.dtype(np.int16))
+_KEPT = "_kept"
 
 
 def dn8(r: Raster):
     """The read-only uint8 array ``r`` holds when it is on the 8-bit grid
     (see the module docstring), else None. The values equal ``r.samples``."""
-    return r.__dict__.get(_DN8)
+    kept = r.__dict__.get(_KEPT)
+    return kept if kept is not None and kept.dtype == np.uint8 else None
 
 
 def operand(r: Raster) -> np.ndarray:
-    """``r``'s uint8 samples when it holds them, else its float64 samples:
-    the array to read where numpy promotes the result to float64 (a
-    float64 array or float scalar on the other side, or ``dtype``)."""
-    dn = dn8(r)
-    return r.samples if dn is None else dn
+    """``r``'s uint8 or int16 samples when it holds them, else its float64
+    samples: the array to read where numpy promotes the result to float64
+    (a float64 array or float scalar on the other side, or ``dtype``)."""
+    kept = r.__dict__.get(_KEPT)
+    return r.samples if kept is None else kept
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,6 +53,12 @@ def xml_text(text: str) -> bool:
     return _CONTROL.search(text) is None
 
 
+def _chartable(value: float) -> bool:
+    """Whether a chart axis can take ``value``: +inf (the SNR sentinel) or
+    a magnitude up to 1e300, past which an axis can overflow."""
+    return value == math.inf or abs(value) <= 1e300
+
+
 def plain_file_name(name: str) -> bool:
     """Whether ``name`` is one plain path component that the OS can open,
     that stays inside its directory and that a chart can carry: non-empty,
@@ -121,8 +127,7 @@ def read_csv(path) -> list[MetricRecord]:
                     value = float(value_s)
                 except ValueError:
                     raise ValueError(f"line {line}: bad value {value_s!r}") from None
-                # This package writes no NaN or -inf; past 1e300 a chart axis can overflow.
-                if math.isnan(value) or value == -math.inf or 1e300 < abs(value) < math.inf:
+                if not _chartable(value):
                     raise ValueError(f"line {line}: bad value {value_s!r}")
                 # A count is plain ASCII digits: no sign, underscore or
                 # other form int() accepts.
@@ -337,8 +342,15 @@ def render_reports(records: list[MetricRecord], svg_dir) -> list[Path]:
 
     Raises:
         ValueError: before anything is written, if a metric is not a
-            :func:`plain_file_name`, since it names its chart file.
+            :func:`plain_file_name`, since it names its chart file, or a
+            record is one :func:`read_csv` would reject as unchartable.
     """
+    for r in records:
+        for name, text in (("pair_id", r.pair_id), ("method", r.method)):
+            if not xml_text(text):
+                raise ValueError(f"bad {name} {text!r}: a chart cannot carry it")
+        if not _chartable(r.value):
+            raise ValueError(f"bad value {r.value!r}: a chart cannot carry it")
     metrics, pairs, methods, values = chart_values(records)
     for metric in metrics:
         if not plain_file_name(metric):

@@ -1,8 +1,9 @@
-"""Rasters on the 8-bit grid are filtered in int16; a hand-built Raster
-with the same samples is filtered in float64. Both must give the same bits,
+"""Rasters on the 8-bit grid are filtered in int16, and scored from their
+uint8 samples and int16 Laplacians; a hand-built Raster with the same
+samples is filtered and scored in float64. Both must give the same bits,
 for every stencil and for the full metric table. Likewise the spectral
-sums of squares are taken by ``einsum`` where they are exact and by
-``np.sum`` elsewhere; both must give the bits of the formulas below.
+sums of squares are taken in int64 where both bands are on the grid and
+by ``np.sum`` elsewhere; both must give the bits of the formulas below.
 Quantization in place, the finite check by one sum, the integer-sample
 conversion and the PNM paths built on uint8 must each give the bits of
 the plain formula they replace. Every fusion method must give the same
@@ -29,6 +30,7 @@ from panfuse.raster import (
     clamp_quantize,
     dn8,
     load_pnm,
+    operand,
     quantize_in_place,
     resample_nearest,
     save_pnm,
@@ -116,6 +118,63 @@ def test_evaluate_all_on_the_grid_matches_the_float_path(planes):
         assert records(ms, grids[3][k], fused) == want
         # Both sides of f - m hold uint8 samples, which must not wrap.
         assert records(MultiBandImage(tuple(g[k] for g in ms_grids)), grids[3][k], fused) == want
+
+
+def lattice(h, w):
+    """255 on every second row and column, 0 elsewhere. Each 255 has only
+    0 around it, so its Laplacian is +2040; in ``255 - lattice`` each 0 has
+    only 255 around it, -2040, and the HPDI difference of the two is 4080."""
+    a = np.zeros((h, w), np.uint8)
+    a[::2, ::2] = 255
+    return a
+
+
+CHECKERBOARD = (np.indices((8, 8)).sum(axis=0) % 2 * 255).astype(np.uint8)
+NO_ZEROS = np.random.default_rng(6).integers(1, 256, (9, 9), dtype=np.uint8)
+EDGE_SHAPES = np.random.default_rng(7).integers(0, 256, (3, 7), dtype=np.uint8)
+
+# (MS, PAN, fused) planes of one band at the int16 extremes; zeros in MS
+# and PAN take DI's and HPDI's exclusion paths.
+INT16_EXTREMES = {
+    "checkerboard": (NO_ZEROS[:8, :8], CHECKERBOARD, 255 - CHECKERBOARD),
+    "lattice": (NO_ZEROS, lattice(9, 9), 255 - lattice(9, 9)),
+    "zeros in MS and PAN": (lattice(9, 9), np.roll(lattice(9, 9), 1), NO_ZEROS),
+    "no zeros": (NO_ZEROS, 255 - lattice(9, 9) // 255 * 254, lattice(9, 9)),
+    "1x1": (EDGE_SHAPES[:1, :1], EDGE_SHAPES[1:2, 1:2], EDGE_SHAPES[2:, 2:3]),
+    "1xn": (EDGE_SHAPES[0:1], EDGE_SHAPES[1:2], 255 - EDGE_SHAPES[2:]),
+    "nx1": (EDGE_SHAPES[:, :1], EDGE_SHAPES[:, 3:4], 255 - EDGE_SHAPES[:, 6:7]),
+}
+
+
+def three_bands(plane, wrap):
+    return MultiBandImage(tuple(
+        wrap(np.ascontiguousarray(b)) for b in (plane, np.roll(plane, 1, axis=1), np.roll(plane, 1, axis=0))
+    ))
+
+
+def test_lattice_reaches_the_int16_extremes():
+    pan, fused = Raster(lattice(9, 9)), Raster(255 - lattice(9, 9))
+    lp, lf = operand(laplacian_hp(pan)), operand(laplacian_hp(fused))
+    assert lp.dtype == lf.dtype == np.int16
+    assert (lp.max(), lf.min(), np.abs(np.subtract(lf, lp)).max()) == (2040, -2040, 4080)
+
+
+@pytest.mark.parametrize("planes", INT16_EXTREMES.values(), ids=INT16_EXTREMES.keys())
+def test_int16_extremes_match_the_float_path(planes):
+    """``evaluate_all`` on uint8 bands, with int16 Laplacians and
+    differences, gives the records of the float64 copies of the same
+    bands; so does the local contrast, whose padding the 1x1, 1xn and nx1
+    images reach from every side."""
+    ms_plane, pan_plane, fused_plane = planes
+    grid = (three_bands(ms_plane, Raster), Raster(np.ascontiguousarray(pan_plane)),
+            three_bands(fused_plane, Raster))
+    plain = (three_bands(ms_plane, hand_built), hand_built(pan_plane),
+             three_bands(fused_plane, hand_built))
+    assert all(dn8(b) is not None for image in grid[::2] for b in image.bands)
+    assert records(*grid) == records(*plain)
+    assert isinstance(records(*grid), list) or pan_plane.size == 1
+    for g, p in zip(grid[2].bands, plain[2].bands):
+        assert metrics._local_michelson(g).tobytes() == metrics._local_michelson(p).tobytes()
 
 
 def spectral_oracle(f, m):
@@ -492,8 +551,9 @@ def test_fusion_on_loaded_8bit_inputs_matches_float64_copies(inputs):
 
 def test_no_uint8_raster_derives_float64_samples(tmp_path, monkeypatch):
     """Synthesis, the public DI/SNR/NRMSE, and fusing, saving and scoring
-    with every method read 8-bit rasters through their uint8 samples: no
-    Raster on the grid ever makes its float64 ``samples``."""
+    with every method read 8-bit rasters through their uint8 samples and
+    their Laplacians through their int16 samples: no Raster on the grid,
+    and no int16 Laplacian of one, ever makes its float64 ``samples``."""
     derived = []
     derive = Raster.__getattr__
 
@@ -510,4 +570,6 @@ def test_no_uint8_raster_derives_float64_samples(tmp_path, monkeypatch):
         product = fuse(name, ms, pan)
         save_pnm(product, tmp_path / f"{name}.ppm")
         evaluate_all(ms, pan, product, "p", name)
+    assert operand(laplacian_hp(pan)).dtype == np.int16
+    assert operand(laplacian_hp(product.bands[0])).dtype == np.int16
     assert derived == []

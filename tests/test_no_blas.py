@@ -7,8 +7,8 @@ the core that ``run_batch``'s other pair thread needs. Measured on a
 2-vCPU host, a 2-pair batch at ``PANFUSE_THREADS=2``, median of 12: the
 spectral sums through ``np.dot`` took 714-802 ms, the same sums through
 ``np.sum`` 487-591 ms, and ``np.dot`` with ``OPENBLAS_NUM_THREADS=1``
-463-474 ms. The exact sums use ``einsum`` without ``optimize``, whose
-loop stays in numpy.
+463-474 ms. The exact sums are int64 sums of integer squares, and
+``einsum`` without ``optimize`` keeps its loop in numpy.
 """
 
 import ast

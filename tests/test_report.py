@@ -360,6 +360,31 @@ class TestRenderReports:
             render_reports(records, svg_dir)
         assert list(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize("control", ["\x01", "\x02", "\uffff"])
+    @pytest.mark.parametrize("field", ["pair_id", "method"])
+    def test_label_a_chart_cannot_carry_writes_nothing(self, tmp_path, field, control):
+        """Records built in the library, not read by read_csv, are checked
+        too: the chart would not be well-formed XML."""
+        names = {"pair_id": "p1", "method": "SF"}
+        names[field] = f"a{control}b"
+        records = SAMPLE + [rec(names["pair_id"], names["method"], "avg", "DI", 0.5)]
+        with pytest.raises(ValueError, match=re.escape(f"bad {field} {names[field]!r}")):
+            render_reports(records, tmp_path / "charts")
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("value", [1.5e308, -9e307, 1.0000000000000002e300, math.nan, -math.inf])
+    def test_value_a_chart_cannot_carry_writes_nothing(self, tmp_path, value):
+        records = SAMPLE + [rec("p3", "SF", "avg", "DI", value)]
+        with pytest.raises(ValueError, match=re.escape(f"bad value {value!r}")):
+            render_reports(records, tmp_path / "charts")
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("value", [1e300, -1e300, math.inf])
+    def test_values_at_the_chart_range_are_charted(self, tmp_path, value):
+        records = [rec("p1", "SF", "avg", "SNR", value), rec("p2", "SF", "avg", "SNR", 2.0)]
+        (path,) = render_reports(records, tmp_path)
+        ET.fromstring(path.read_text(encoding="utf-8"))
+
     def test_tab_in_a_label_keeps_the_chart_well_formed(self, tmp_path):
         records = [rec("p\t1", "SF", "avg", "DI", 0.5), rec("p2", "SF", "avg", "DI", -0.5)]
         (path,) = render_reports(records, tmp_path)
