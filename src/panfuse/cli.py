@@ -23,7 +23,9 @@ from typing import get_args, get_type_hints
 from .fusion import METHOD_NAMES, fuse, normalize_method
 from .metrics import DEFAULT_CSA_PERCENTILE, MetricRecord, evaluate_all
 from .raster import MultiBandImage, Raster, load_pnm, resample_nearest, save_pnm
-from .report import plain_file_name, read_csv, render_reports, repeated_rows, write_csv, xml_text
+from .report import (
+    plain_file_name, plain_int, read_csv, render_reports, repeated_rows, write_csv, xml_text
+)
 from .synthetic import SyntheticSpec, generate_pair
 
 __all__ = [
@@ -209,6 +211,10 @@ def load_manifest(path) -> BatchManifest:
         raise UsageError("'output_dir' must be a non-empty string")
     if "\0" in raw["output_dir"]:
         raise UsageError("'output_dir' must not contain a NUL character")
+    # A JSON escape such as \ud800 decodes to a lone surrogate, which is
+    # not text: neither a UTF-8 file name nor stdout can carry it.
+    if any("\ud800" <= c <= "\udfff" for c in raw["output_dir"]):
+        raise UsageError("'output_dir' must not contain a surrogate code point")
     base = manifest_path.parent
     output_dir = base / raw["output_dir"]
 
@@ -283,13 +289,8 @@ def _load_pair(ms_path, pan_path) -> tuple[MultiBandImage, Raster]:
 def _thread_count(pair_count: int) -> int:
     env = os.environ.get(THREADS_ENV)
     if env is not None:
-        # Plain ASCII digits, the rule of PNM header integers and CSV
-        # counts: no sign, underscore, space or other form int() accepts.
-        try:
-            threads = int(env) if env.isascii() and env.isdigit() else 0
-        except ValueError:  # more digits than int() converts
-            threads = 0
-        if threads < 1:
+        threads = plain_int(env)
+        if not threads:
             raise UsageError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
         return min(threads, pair_count)
     return max(1, min(pair_count, _cpus_available()))

@@ -1,9 +1,9 @@
 """Metric-record CSV interchange and SVG bar-chart reports.
 
-The CSV header and column order are fixed; floats are written with
-shortest-round-trip repr so a parse-and-rewrite cycle is lossless. Charts
-are generated as plain SVG text with fixed-precision coordinates, so
-identical input always yields byte-identical output.
+The CSV is UTF-8, its header and column order are fixed, and floats are
+written with shortest-round-trip repr so a parse-and-rewrite cycle is
+lossless. Charts are generated as plain SVG text with fixed-precision
+coordinates, so identical input always yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .metrics import METRIC_ORDER, MetricRecord, band_average
 __all__ = [
     "CSV_HEADER",
     "plain_file_name",
+    "plain_int",
     "xml_text",
     "write_csv",
     "read_csv",
@@ -43,20 +44,16 @@ _PALETTE = (
 )
 
 
-# What XML 1.0 cannot carry: C0 controls other than tab, LF and CR; U+FFFE, U+FFFF.
-_CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+# What XML 1.0 cannot carry: C0 controls other than tab, LF and CR; lone
+# surrogates, which no UTF-8 file can hold either; U+FFFE, U+FFFF.
+_CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def xml_text(text: str) -> bool:
     """Whether a chart can carry ``text``: it holds no C0 control
-    character other than tab, LF and CR, and neither U+FFFE nor U+FFFF."""
+    character other than tab, LF and CR, no surrogate code point, and
+    neither U+FFFE nor U+FFFF."""
     return _CONTROL.search(text) is None
-
-
-def _chartable(value: float) -> bool:
-    """Whether a chart axis can take ``value``: +inf (the SNR sentinel) or
-    a magnitude up to 1e300, past which an axis can overflow."""
-    return value == math.inf or abs(value) <= 1e300
 
 
 def plain_file_name(name: str) -> bool:
@@ -68,13 +65,53 @@ def plain_file_name(name: str) -> bool:
     return bool(name) and xml_text(name) and not separator and name not in (".", "..")
 
 
+def plain_int(text: str) -> int | None:
+    """``text`` as an integer if it is plain ASCII digits, else None: no
+    sign, underscore, space or other form ``int`` accepts, and no more
+    digits than ``int`` converts."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more than sys.get_int_max_str_digits() digits
+        return None
+
+
+def _float_text(text: str) -> float:
+    """``text`` as a float if it is ASCII with no ``_`` or whitespace, as
+    ``repr(float)`` writes it; NaN, which no chart carries, otherwise."""
+    try:
+        if text.isascii() and "_" not in text and text == text.strip():
+            return float(text)
+    except ValueError:
+        pass
+    return math.nan
+
+
+def _unchartable(r: MetricRecord) -> str | None:
+    """The first field of ``r`` that no chart can carry, or None: a
+    ``pair_id`` or ``method`` that is not :func:`xml_text`, a ``metric``
+    that is not a :func:`plain_file_name` (it names its chart file), or a
+    ``value`` other than +inf (the SNR sentinel) of magnitude above 1e300,
+    past which an axis can overflow."""
+    if not xml_text(r.pair_id):
+        return "pair_id"
+    if not xml_text(r.method):
+        return "method"
+    if not plain_file_name(r.metric):
+        return "metric"
+    if not (r.value == math.inf or abs(r.value) <= 1e300):
+        return "value"
+    return None
+
+
 def write_csv(records: list[MetricRecord], path, append: bool = False) -> None:
     """Write records as CSV, one column per ``MetricRecord`` field; the
     header is emitted unless appending to a non-empty file."""
     p = Path(path)
     need_header = not (append and p.exists() and p.stat().st_size > 0)
     mode = "a" if append else "w"
-    with p.open(mode, newline="") as fh:
+    with p.open(mode, encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, CSV_HEADER, lineterminator="\n")
         if need_header:
             writer.writeheader()
@@ -84,15 +121,18 @@ def write_csv(records: list[MetricRecord], path, append: bool = False) -> None:
 
 
 def read_csv(path) -> list[MetricRecord]:
-    """Parse a metric CSV written by this package.
+    """Parse a UTF-8 metric CSV written by this package.
 
     Raises:
         ValueError: wrong header, malformed row or CSV syntax (named by
-            line number), or a header-only file ("no records"). A row no
-            chart can carry is malformed: ``pair_id``, ``method`` or
-            ``metric`` not :func:`xml_text`, or a magnitude above 1e300.
+            line number), text that is not UTF-8, or a header-only file
+            ("no records"). A row is malformed if its ``band`` is not
+            ``avg`` or an index in :func:`plain_int` digits without a
+            leading zero, its ``excluded_pixels`` is not :func:`plain_int`,
+            its ``value`` text is not ASCII without ``_`` or whitespace, or
+            no chart can carry it (see :func:`render_reports`).
     """
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -112,32 +152,20 @@ def read_csv(path) -> list[MetricRecord]:
                         f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
                     )
                 pair_id, method, band, metric, value_s, excluded_s = row
-                for name, text in (("pair_id", pair_id), ("method", method)):
-                    if not xml_text(text):
-                        raise ValueError(f"line {line}: bad {name} {text!r}")
-                # A metric names its chart file in the report directory.
-                if not plain_file_name(metric):
-                    raise ValueError(f"line {line}: bad metric {metric!r}")
-                # A band is "avg" or a 1-based index in plain ASCII digits.
-                if band != "avg" and not (
-                    band.isascii() and band.isdigit() and band.strip("0")
-                ):
+                # A band is "avg" or a 1-based index: with no leading zero,
+                # "1" is its only key.
+                if band != "avg" and (band.startswith("0") or plain_int(band) is None):
                     raise ValueError(f"line {line}: bad band {band!r}")
-                try:
-                    value = float(value_s)
-                except ValueError:
-                    raise ValueError(f"line {line}: bad value {value_s!r}") from None
-                if not _chartable(value):
-                    raise ValueError(f"line {line}: bad value {value_s!r}")
-                # A count is plain ASCII digits: no sign, underscore or
-                # other form int() accepts.
-                try:
-                    if not (excluded_s.isascii() and excluded_s.isdigit()):
-                        raise ValueError
-                    excluded = int(excluded_s)
-                except ValueError:
-                    raise ValueError(f"line {line}: bad excluded_pixels {excluded_s!r}") from None
-                records.append(MetricRecord(pair_id, method, band, metric, value, excluded))
+                excluded = plain_int(excluded_s)
+                if excluded is None:
+                    raise ValueError(f"line {line}: bad excluded_pixels {excluded_s!r}")
+                record = MetricRecord(
+                    pair_id, method, band, metric, _float_text(value_s), excluded
+                )
+                bad = _unchartable(record)
+                if bad is not None:
+                    raise ValueError(f"line {line}: bad {bad} {row[CSV_HEADER.index(bad)]!r}")
+                records.append(record)
         except csv.Error as e:
             raise ValueError(f"line {reader.line_num}: {e}") from None
     if not records:
@@ -165,18 +193,10 @@ def chart_values(records: list[MetricRecord]):
     order follow first appearance; metrics are ordered canonically, then
     by first appearance for anything nonstandard.
     """
-    metrics: list[str] = []
-    pairs: list[str] = []
-    methods: list[str] = []
-    latest: dict = {}
-    for r in records:
-        if r.metric not in metrics:
-            metrics.append(r.metric)
-        if r.pair_id not in pairs:
-            pairs.append(r.pair_id)
-        if r.method not in methods:
-            methods.append(r.method)
-        latest[_row_key(r)] = r.value
+    metrics = dict.fromkeys(r.metric for r in records)
+    pairs = list(dict.fromkeys(r.pair_id for r in records))
+    methods = list(dict.fromkeys(r.method for r in records))
+    latest = {_row_key(r): r.value for r in records}
 
     avg: dict = {}
     band_rows: dict = {}
@@ -196,11 +216,11 @@ def chart_values(records: list[MetricRecord]):
 
 
 def _nice_ceil(v: float) -> float:
-    if v <= 0.0:
-        return 1.0
+    """The least of 1, 2, 5 and 10 times a power of ten that ``v`` > 0
+    does not exceed."""
     # 10.0 ** -324 underflows to 0, which would leave the axis no span.
     magnitude = 10.0 ** max(math.floor(math.log10(v)), -323)
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if v <= mult * magnitude * (1.0 + 1e-12):
             return mult * magnitude
     return 10.0 * magnitude
@@ -279,22 +299,17 @@ def grouped_bar_chart_svg(
             v = values[key]
             color = _PALETTE[mi % len(_PALETTE)]
             x = gx + mi * bar_w
+            # +inf is capped at the axis maximum; a finite value never exceeds it.
+            y_v = y_of(min(v, vmax))
+            y0, y1 = min(y_v, y_zero), max(y_v, y_zero)
+            out.append(
+                f'<rect x="{x:.2f}" y="{y0:.2f}" width="{bar_w:.2f}" '
+                f'height="{y1 - y0:.2f}" fill="{color}" class="bar"/>'
+            )
             if math.isinf(v):
-                y_top = y_of(vmax)
                 out.append(
-                    f'<rect x="{x:.2f}" y="{y_top:.2f}" width="{bar_w:.2f}" '
-                    f'height="{y_zero - y_top:.2f}" fill="{color}" class="bar"/>'
-                )
-                out.append(
-                    f'<text x="{x + bar_w / 2:.2f}" y="{y_top - 3:.2f}" font-size="12" '
+                    f'<text x="{x + bar_w / 2:.2f}" y="{y0 - 3:.2f}" font-size="12" '
                     f'fill="#222222" text-anchor="middle">∞</text>'
-                )
-            else:
-                y_v = y_of(v)
-                y0, y1 = min(y_v, y_zero), max(y_v, y_zero)
-                out.append(
-                    f'<rect x="{x:.2f}" y="{y0:.2f}" width="{bar_w:.2f}" '
-                    f'height="{y1 - y0:.2f}" fill="{color}" class="bar"/>'
                 )
         out.append(
             f'<text x="{gx + group_w / 2:.2f}" y="{top + plot_h + 18}" font-size="11" '
@@ -341,20 +356,18 @@ def render_reports(records: list[MetricRecord], svg_dir) -> list[Path]:
     """Write one SVG per metric into ``svg_dir``; returns the paths.
 
     Raises:
-        ValueError: before anything is written, if a metric is not a
-            :func:`plain_file_name`, since it names its chart file, or a
-            record is one :func:`read_csv` would reject as unchartable.
+        ValueError: before anything is written, naming the first field of
+            the first record no chart can carry: a ``pair_id`` or
+            ``method`` that is not :func:`xml_text`, a ``metric`` that is
+            not a :func:`plain_file_name`, since it names its chart file,
+            or a value other than +inf of magnitude above 1e300.
     """
     for r in records:
-        for name, text in (("pair_id", r.pair_id), ("method", r.method)):
-            if not xml_text(text):
-                raise ValueError(f"bad {name} {text!r}: a chart cannot carry it")
-        if not _chartable(r.value):
-            raise ValueError(f"bad value {r.value!r}: a chart cannot carry it")
+        bad = _unchartable(r)
+        if bad is not None:
+            why = "not a plain file name" if bad == "metric" else "a chart cannot carry it"
+            raise ValueError(f"bad {bad} {getattr(r, bad)!r}: {why}")
     metrics, pairs, methods, values = chart_values(records)
-    for metric in metrics:
-        if not plain_file_name(metric):
-            raise ValueError(f"bad metric {metric!r}: not a plain file name")
     out_dir = Path(svg_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -392,7 +392,8 @@ class TestManifestValidation:
         assert "pairs[0]: ms_resolution_m must be >= pan_resolution_m" in err
 
     @pytest.mark.parametrize(
-        "pair_id", ["../escaped", "..", ".", "a/b", "a\\b", "/tmp/abs", "a\u0000b", "a\u0001b"]
+        "pair_id",
+        ["../escaped", "..", ".", "a/b", "a\\b", "/tmp/abs", "a\u0000b", "a\u0001b", "a\ud800b"],
     )
     def test_pair_id_must_be_one_path_component(self, pair_dir, capsys, pair_id):
         payload = {
@@ -411,8 +412,9 @@ class TestManifestValidation:
             ("", "'output_dir' must be a non-empty string"),
             (7, "'output_dir' must be a non-empty string"),
             ("out\u0000x", "'output_dir' must not contain a NUL character"),
+            ("out\ud800", "'output_dir' must not contain a surrogate code point"),
         ],
-        ids=["empty", "number", "nul"],
+        ids=["empty", "number", "nul", "surrogate"],
     )
     def test_bad_output_dir(self, pair_dir, capsys, output_dir, message):
         payload = {
@@ -812,6 +814,13 @@ class TestReportCommand:
         csv.write_text("pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,0.5,-5\n")
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: line 2: bad excluded_pixels '-5'\n"
+        assert not (pair_dir / "c").exists()
+
+    def test_value_text_repr_never_writes_is_usage_error(self, pair_dir, capsys):
+        csv = pair_dir / "m.csv"
+        csv.write_text("pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,1_000,0\n")
+        assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: line 2: bad value '1_000'\n"
         assert not (pair_dir / "c").exists()
 
     def test_bad_band_is_usage_error(self, pair_dir, capsys):

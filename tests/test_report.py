@@ -2,7 +2,10 @@
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -61,6 +64,32 @@ class TestCsvRoundTrip:
         path = tmp_path / "m.csv"
         write_csv(SAMPLE[:1], path)
         assert read_csv(path)[0].band == "1"
+
+    def test_file_is_utf8_whatever_the_locale(self, tmp_path):
+        """Under the POSIX locale with UTF-8 mode off, ``open`` defaults to
+        ASCII; the CSV is UTF-8 like the manifest and the charts."""
+        script = (
+            "import sys\n"
+            "from panfuse.metrics import MetricRecord\n"
+            "from panfuse.report import read_csv, write_csv\n"
+            "path = sys.argv[1]\n"
+            "write_csv([MetricRecord('Z\\u00fcrich', 'SF', 'avg', 'DI', 0.5, 0)], path)\n"
+            "print(ascii([r.pair_id for r in read_csv(path)]))\n"
+        )
+        path = tmp_path / "m.csv"
+        env = {
+            **os.environ,
+            "LC_ALL": "POSIX",
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONPATH": os.pathsep.join(sys.path),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "['Z\\xfcrich']\n"
+        assert path.read_bytes().splitlines()[1] == "Zürich,SF,avg,DI,0.5,0".encode("utf-8")
 
     def test_append_writes_header_once(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -138,12 +167,26 @@ class TestReadCsvErrors:
 
 
     @pytest.mark.parametrize(
-        "band", ["banana", "", "0", "00", "-1", "+1", " 1", "1_0", "\u0663", "AVG"]
+        "band", ["banana", "", "0", "00", "01", "007", "-1", "+1", " 1", "1_0", "\u0663", "AVG"]
     )
     def test_band_must_be_avg_or_an_index(self, tmp_path, band):
         path = tmp_path / "m.csv"
         path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,{band},DI,0.5,0\n")
         with pytest.raises(ValueError, match=re.escape(f"line 3: bad band {band!r}")):
+            read_csv(path)
+
+    @pytest.mark.parametrize(
+        "value", ["1_000", " 2.5", "2.5 ", "2.5\t", "\u0663", "\uff11.5"]
+    )
+    def test_value_must_be_text_repr_can_write(self, tmp_path, value):
+        """``float`` also reads underscores, surrounding whitespace and
+        non-ASCII digits, none of which ``repr(float)`` writes."""
+        path = tmp_path / "m.csv"
+        path.write_text(
+            ",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,2,DI,{value},0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=re.escape(f"line 3: bad value {value!r}")):
             read_csv(path)
 
     @pytest.mark.parametrize("metric", ["", ".", "..", "../escaped", "a/b", "a\\b", "/abs"])
@@ -195,6 +238,8 @@ class TestReadCsvErrors:
         ("a\x01b", False),
         ("a\x1fb", False),
         ("a\ufffeb", False),
+        ("a\ud800b", False),
+        ("a\udcffb", False),
         ("a\tb", True),
         ("/abs", False),
     ],
