@@ -99,7 +99,7 @@ _PAIR_KINDS = {
     for key, hint in get_type_hints(PairSpec).items()
     if type(None) in get_args(hint)
 }
-_KIND_NAMES = {float: "a number", str: "a string"}
+_KIND_NAMES = {float: "a number", str: "a printable string"}
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,12 @@ def load_manifest(path) -> BatchManifest:
                 raise UsageError(f"{where}: input file not found: {p}")
         for key, kind in _PAIR_KINDS.items():
             value = entry.get(key)
-            ok = _is_real(value) if kind is float else isinstance(value, kind)
+            # Sensor names and locations reach the batch log: no terminal
+            # escape sequence or lone surrogate, which stdout cannot encode.
+            if kind is float:
+                ok = _is_real(value)
+            else:
+                ok = isinstance(value, str) and value.isprintable()
             if value is not None and not ok:
                 raise UsageError(f"{where}: {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
         pair = PairSpec(**{**entry, "ms_path": ms_path, "pan_path": pan_path})
@@ -318,6 +323,14 @@ def _failure(e: Exception, where: str) -> tuple[str, list[str]]:
     return f"{type(e).__name__}: {e}", [tb]
 
 
+def _echo(line: str) -> None:
+    """Print ``line`` to stdout, backslash-escaping each character that
+    stdout's encoding cannot carry (``\\xfc`` for ``ü`` under the POSIX
+    locale) rather than raising."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int, list]:
     """Fuse and score one pair with every requested method; returns its
     records, its log lines, its count of failed tasks and the tracebacks
@@ -362,7 +375,9 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int,
 
 
 def run_batch(manifest: BatchManifest) -> tuple[list, int]:
-    """Run every pair/method combination; returns (records, failed task count).
+    """Run every pair/method combination, write the records to
+    ``metrics.csv`` in ``output_dir`` and print each pair's log; returns
+    (records, failed task count).
 
     Pairs run concurrently (thread count from PANFUSE_THREADS, default
     one per pair up to the number of CPUs this process may run on) but
@@ -375,15 +390,15 @@ def run_batch(manifest: BatchManifest) -> tuple[list, int]:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda p: _run_pair(p, manifest), manifest.pairs))
 
-    records: list[MetricRecord] = []
-    failed = 0
-    for pair_records, lines, pair_failed, tracebacks in results:
-        print("\n".join(lines))
+    records = [r for pair_records, *_ in results for r in pair_records]
+    # Written before any log line, so that no printing failure can lose it,
+    # and rewritten even when every task failed, so no earlier run's rows stay.
+    write_csv(records, manifest.output_dir / _CSV_NAME)
+    for _, lines, _, tracebacks in results:
+        _echo("\n".join(lines))
         for tb in tracebacks:
             print(tb, end="", file=sys.stderr)
-        records.extend(pair_records)
-        failed += pair_failed
-    return records, failed
+    return records, sum(pair_failed for _, _, pair_failed, _ in results)
 
 
 def cmd_fuse(args) -> int:
@@ -392,10 +407,7 @@ def cmd_fuse(args) -> int:
     pan = _load_pan(args.pan)
     fused = fuse(method, ms, pan)
     save_pnm(fused, args.out)
-    print(
-        f"{method}: {ms.width}x{ms.height} ms + {pan.width}x{pan.height} pan "
-        f"-> {args.out}"
-    )
+    _echo(f"{method}: {ms.width}x{ms.height} ms + {pan.width}x{pan.height} pan -> {args.out}")
     return EXIT_OK
 
 
@@ -403,22 +415,22 @@ def cmd_evaluate(args) -> int:
     method = _method(args.method)
     percentile = _check_percentile(args.csa_percentile, "--csa-percentile")
     if not xml_text(args.pair_id):
-        raise UsageError(f"--pair-id must not contain control characters, got {args.pair_id!r}")
+        raise UsageError(
+            "--pair-id must not contain control characters or undecodable bytes, "
+            f"got {args.pair_id!r}"
+        )
     ms, pan = _load_pair(args.ms, args.pan)
     fused = _as_multiband(load_pnm(args.fused))
     records = evaluate_all(ms, pan, fused, args.pair_id, method, percentile)
     write_csv(records, args.csv, append=True)
-    print(f"wrote {len(records)} records for {args.pair_id}/{method} to {args.csv}")
+    _echo(f"wrote {len(records)} records for {args.pair_id}/{method} to {args.csv}")
     return EXIT_OK
 
 
 def cmd_batch(args) -> int:
     manifest = load_manifest(args.manifest)
     records, failed = run_batch(manifest)
-    # Rewritten even when every task failed, so no earlier run's rows stay.
-    csv_path = manifest.output_dir / _CSV_NAME
-    write_csv(records, csv_path)
-    print(f"wrote {len(records)} records to {csv_path}")
+    _echo(f"wrote {len(records)} records to {manifest.output_dir / _CSV_NAME}")
     if failed:
         total = len(manifest.pairs) * len(manifest.methods)
         print(f"{failed} of {total} fusion tasks failed", file=sys.stderr)
@@ -439,7 +451,7 @@ def cmd_gen_synthetic(args) -> int:
         raise UsageError(str(e)) from None
     paths = generate_pair(spec, args.out)
     for p in paths:
-        print(f"wrote {p}")
+        _echo(f"wrote {p}")
     return EXIT_OK
 
 
@@ -456,7 +468,7 @@ def cmd_report(args) -> int:
             file=sys.stderr,
         )
     for p in render_reports(records, args.out):
-        print(f"wrote {p}")
+        _echo(f"wrote {p}")
     return EXIT_OK
 
 

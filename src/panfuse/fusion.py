@@ -25,6 +25,7 @@ from .raster import (
     moments,
     operand,
     quantize_in_place,
+    require_same_grid,
     resample_nearest,
 )
 
@@ -62,16 +63,6 @@ def match_mean_std(src: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return ref_mean + centred * (math.sqrt(ref_var) / src_std)
 
 
-def _check_pair(ms: MultiBandImage, pan: Raster, op: str):
-    """MS and PAN must share a grid; the three-band methods check the band
-    count with ``colorspace``'s rule."""
-    if ms.width != pan.width or ms.height != pan.height:
-        raise ValueError(
-            f"{op}: MS {ms.width}x{ms.height} does not match "
-            f"PAN {pan.width}x{pan.height}"
-        )
-
-
 def _product(bands, quantize: bool) -> MultiBandImage:
     """The fused image of ``bands``, a list of fresh float64 arrays that
     only this call refers to. Each is clamped in its own buffer and
@@ -96,7 +87,7 @@ def fuse_sf(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiB
     transform. The chromatic carriers pass through untouched, so hue and
     saturation are preserved wherever the image is not homogeneous.
     """
-    _check_pair(ms, pan, "fuse_sf")
+    require_same_grid(ms, pan, "fuse_sf")
     planes = ihs_forward(ms)
     i_star = Raster(box_lpf(planes.i).samples + unsharp_mask(pan).samples)
     i_new = Raster(match_mean_std(i_star.samples, planes.i.samples))
@@ -112,7 +103,7 @@ def fuse_ihs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     In closed form (Tu et al., Information Fusion 2(3), 2001): substituting
     I = (R+G+B)/3 and inverting adds I_new - I to every band.
     """
-    _check_pair(ms, pan, "fuse_ihs")
+    require_same_grid(ms, pan, "fuse_ihs")
     bands = _require_rgb(ms, "fuse_ihs")
     i = intensity(*bands)
     delta = match_mean_std(operand(pan), i)
@@ -129,7 +120,7 @@ def fuse_hsv(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     V_new / V, and gives V_new in every band where V = 0. A negative MS
     sample, outside the hexcone domain, raises ValueError.
     """
-    _check_pair(ms, pan, "fuse_hsv")
+    require_same_grid(ms, pan, "fuse_hsv")
     bands = _require_rgb(ms, "fuse_hsv")
     if min(float(b.min()) for b in bands) < 0.0:
         raise ValueError("fuse_hsv requires non-negative MS samples (hexcone domain)")
@@ -150,7 +141,7 @@ def fuse_hsv(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
 
 def fuse_hfa(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
     """High-frequency addition: each band gets PAN's unsharp-mask plane."""
-    _check_pair(ms, pan, "fuse_hfa")
+    require_same_grid(ms, pan, "fuse_hfa")
     detail = unsharp_mask(pan).samples
     return _product([operand(b) + detail for b in ms.bands], quantize)
 
@@ -161,13 +152,9 @@ def fuse_hfm(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     Pixels where the low-pass denominator falls below 1e-9 pass the MS
     band through unchanged.
     """
-    _check_pair(ms, pan, "fuse_hfm")
+    require_same_grid(ms, pan, "fuse_hfm")
     lpf = box_lpf(pan).samples
-    degenerate = lpf < _HFM_DENOM_FLOOR
-    if degenerate.any():
-        ratio = np.where(degenerate, 1.0, operand(pan) / np.where(degenerate, 1.0, lpf))
-    else:
-        ratio = operand(pan) / lpf
+    ratio = np.divide(operand(pan), lpf, out=np.ones(lpf.shape), where=lpf >= _HFM_DENOM_FLOOR)
     return _product([operand(b) * ratio for b in ms.bands], quantize)
 
 
@@ -177,7 +164,7 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     mean(band) - slope * mean(PAN). PAN's moments are taken once for all
     bands. A constant PAN (zero range) gives each band its mean, slope 0.
     """
-    _check_pair(ms, pan, "fuse_rvs")
+    require_same_grid(ms, pan, "fuse_rvs")
     p = operand(pan)
     constant = np.ptp(p) == 0.0
     p_mean, dp, p_var = moments(p)
@@ -192,7 +179,7 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
 
 def fuse_ef(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
     """Edge fusion: each band gets PAN's Laplacian high-pass plane."""
-    _check_pair(ms, pan, "fuse_ef")
+    require_same_grid(ms, pan, "fuse_ef")
     edges = operand(laplacian_hp(pan))
     return _product([np.add(operand(b), edges, dtype=np.float64) for b in ms.bands], quantize)
 

@@ -13,8 +13,10 @@ exact integers, and the spatial metrics read int16 Laplacians: every
 metric has the bits it has on float64 copies of the same bands.
 Nothing here calls BLAS (``np.dot`` and kin):
 OpenBLAS's spinning worker threads take the core a batch's other pair
-thread needs. The zero counts of each MS band (DI) and of PAN (HPDI) are
-memoised on them.
+thread needs. DI and HPDI share one ratio mean, :func:`_mean_ratio`,
+which counts the denominator's zeros on every call (one
+``np.count_nonzero``, about 22 us on a 512x512 uint8 band): zero counts
+are not memoised.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from .filtering import laplacian_hp, window3x3
-from .raster import MultiBandImage, Raster, dn8, memoised, moments, operand
+from .raster import MultiBandImage, Raster, dn8, memoised, moments, operand, require_same_grid
 
 __all__ = [
     "MetricRecord",
@@ -51,8 +53,9 @@ class MetricRecord:
     """One report row: a metric value for (pair, method, band).
 
     ``band`` is a 1-based index or the string "avg"; ``excluded_pixels``
-    counts denominator-zero pixels skipped by ratio metrics (and, on the
-    SNR "avg" row, infinite bands left out of the average).
+    counts denominator-zero pixels skipped by ratio metrics, summed over
+    the bands on an "avg" row, plus the infinite bands that row leaves out
+    of its average (see :func:`band_average`).
     """
 
     pair_id: str
@@ -63,34 +66,23 @@ class MetricRecord:
     excluded_pixels: int = 0
 
 
-def _check_dims(a: Raster, b: Raster, op: str) -> None:
-    if a.width != b.width or a.height != b.height:
-        raise ValueError(
-            f"{op}: dimensions differ ({a.width}x{a.height} vs {b.width}x{b.height})"
-        )
+def _mean_ratio(num: np.ndarray, den: Raster, what: str) -> tuple[float, int]:
+    """(mean of num / den over the pixels where ``den`` is nonzero, the
+    number of pixels excluded); ``num`` is a scratch array. Raises
+    ``undefined <what> is zero everywhere`` when every pixel is excluded.
 
-
-def _mean_ratio(num: np.ndarray, den: np.ndarray, excluded: int) -> float:
-    """Mean of num / den over the pixels where den is nonzero; ``num`` is
-    a scratch array. With nothing excluded it divides over the whole
-    array, in place when ``num`` is float64 and else into one fresh
-    float64 array: the same elements in the same order as the compacted
-    path, so ``np.mean`` gives the same bits without the mask copies."""
+    With nothing excluded it divides over the whole array, in place when
+    ``num`` is float64 and else into one fresh float64 array: the same
+    elements in the same order as the compacted path, so ``np.mean``
+    gives the same bits without the mask copies."""
+    d = operand(den)
+    excluded = int(d.size - np.count_nonzero(d))
+    if excluded == d.size:
+        raise ValueError(f"undefined {what} is zero everywhere")
     if excluded:
-        valid = den != 0
-        return float(np.mean(num[valid] / den[valid]))
-    return float(np.mean(np.divide(num, den, out=num if num.dtype == np.float64 else None)))
-
-
-def _zeros(r: Raster) -> int:
-    """The number of zero samples of ``r``, counted once per Raster (on
-    its uint8 samples when it has them)."""
-
-    def count() -> int:
-        a = operand(r)
-        return int(a.size - np.count_nonzero(a))
-
-    return memoised(r, "_zeros", count)
+        valid = d != 0
+        return float(np.mean(num[valid] / d[valid])), excluded
+    return float(np.mean(np.divide(num, d, out=num if num.dtype == np.float64 else None))), 0
 
 
 def _exact(f: Raster, m: Raster) -> bool:
@@ -117,14 +109,6 @@ def _sum_squares(a: np.ndarray, exact: bool) -> float:
     return float(np.sum(np.square(a, dtype=np.float64)))
 
 
-def _deviation(abs_diff: np.ndarray, m: Raster) -> tuple[float, int]:
-    """DI from ``|f - m|``, a scratch array (see :func:`_mean_ratio`)."""
-    excluded = _zeros(m)
-    if excluded == abs_diff.size:
-        raise ValueError("undefined DI: reference band is zero everywhere")
-    return _mean_ratio(abs_diff, operand(m), excluded), excluded
-
-
 def _snr(signal: float, noise: float) -> float:
     return math.inf if noise == 0.0 else math.sqrt(signal / noise)
 
@@ -139,21 +123,21 @@ def deviation_index(f: Raster, m: Raster) -> tuple[float, int]:
     Returns (value, excluded) where excluded counts the skipped m == 0
     pixels. Raises if every pixel is excluded.
     """
-    _check_dims(f, m, "deviation_index")
+    require_same_grid(f, m, "deviation_index")
     d = _difference(f, m)
-    return _deviation(np.abs(d, out=d), m)
+    return _mean_ratio(np.abs(d, out=d), m, "DI: reference band")
 
 
 def snr(f: Raster, m: Raster) -> float:
     """sqrt(sum f^2 / sum (f - m)^2); +inf when the error energy is zero."""
-    _check_dims(f, m, "snr")
+    require_same_grid(f, m, "snr")
     exact = _exact(f, m)
     return _snr(_sum_squares(operand(f), exact), _sum_squares(_difference(f, m), exact))
 
 
 def nrmse(f: Raster, m: Raster) -> float:
     """Root mean square error normalized by the 255 DN range."""
-    _check_dims(f, m, "nrmse")
+    require_same_grid(f, m, "nrmse")
     d = _difference(f, m)
     return _nrmse(_sum_squares(d, _exact(f, m)), d.size)
 
@@ -167,7 +151,8 @@ def _spectral(f: Raster, m: Raster) -> list[tuple[float, int]]:
     noise = _sum_squares(d, exact)
     signal = _sum_squares(operand(f), exact)
     np.abs(d, out=d)
-    return [_deviation(d, m), (_snr(signal, noise), 0), (_nrmse(noise, d.size), 0)]
+    di = _mean_ratio(d, m, "DI: reference band")
+    return [di, (_snr(signal, noise), 0), (_nrmse(noise, d.size), 0)]
 
 
 def _centred(r: Raster, writeable: bool = True) -> tuple[np.ndarray, float]:
@@ -190,7 +175,7 @@ def _correlate(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> floa
 
 def pearson(a: Raster, b: Raster) -> float:
     """Population Pearson correlation; errors on a zero-variance input."""
-    _check_dims(a, b, "pearson")
+    require_same_grid(a, b, "pearson")
     return _correlate(_centred(a), _centred(b))
 
 
@@ -202,7 +187,7 @@ def fcc(fused_band: Raster, pan: Raster) -> float:
     ``raster.memoised``, so every band and method of a pair shares them;
     the band's side is not memoised and dies with the call.
     """
-    _check_dims(fused_band, pan, "fcc")
+    require_same_grid(fused_band, pan, "fcc")
     pan_hp = laplacian_hp(pan)
     pan_side = memoised(pan_hp, "_centred", lambda: _centred(pan_hp, writeable=False))
     return _correlate(_centred(laplacian_hp(fused_band)), pan_side)
@@ -215,13 +200,10 @@ def hpdi(fused_band: Raster, pan: Raster) -> tuple[float, int]:
     value is nonzero (the raw value, not its high-pass plane, is the
     denominator). Returns (value, excluded).
     """
-    _check_dims(fused_band, pan, "hpdi")
-    excluded = _zeros(pan)
-    if excluded == pan.width * pan.height:
-        raise ValueError("undefined HPDI: PAN is zero everywhere")
+    require_same_grid(fused_band, pan, "hpdi")
     # int16 (within +-4080) when both Laplacians are.
     diff = np.subtract(operand(laplacian_hp(fused_band)), operand(laplacian_hp(pan)))
-    return _mean_ratio(np.abs(diff, out=diff), operand(pan), excluded), excluded
+    return _mean_ratio(np.abs(diff, out=diff), pan, "HPDI: PAN")
 
 
 def _local_michelson(band: Raster) -> np.ndarray:
@@ -274,7 +256,7 @@ def csa(
     Raises:
         ValueError: if either class is empty (degenerate PAN).
     """
-    _check_dims(band, pan, "csa")
+    require_same_grid(band, pan, "csa")
     pan_hp = laplacian_hp(pan)
     edge, homog = memoised(
         pan_hp, ("_csa_classes", percentile), lambda: _pan_classes(pan_hp, percentile)
@@ -306,24 +288,16 @@ def evaluate_all(
 
     ``ms`` must already be resampled to PAN's size and have the same
     band count as ``fused``. Emits one record per band per metric in a
-    fixed order (bands ascending, then the "avg" rows); the "avg" row
-    averages band values, with excluded-pixel counts summed for DI and
-    HPDI and infinite bands dropped from (and counted on) the SNR row.
+    fixed order (bands ascending, then the "avg" rows); each "avg" row is
+    the :func:`band_average` of its metric's band values, and counts the
+    bands' excluded pixels and the infinite bands it leaves out.
     """
     if fused.band_count != ms.band_count:
         raise ValueError(
             f"band count mismatch: fused {fused.band_count} vs ms {ms.band_count}"
         )
-    if fused.width != pan.width or fused.height != pan.height:
-        raise ValueError(
-            f"fused {fused.width}x{fused.height} does not match "
-            f"PAN {pan.width}x{pan.height}"
-        )
-    if ms.width != pan.width or ms.height != pan.height:
-        raise ValueError(
-            f"ms {ms.width}x{ms.height} does not match PAN {pan.width}x{pan.height} "
-            "(resample first)"
-        )
+    require_same_grid(fused, pan, "evaluate_all: fused vs PAN")
+    require_same_grid(ms, pan, "evaluate_all: MS vs PAN")
 
     # One row per band of (value, excluded) pairs in METRIC_ORDER.
     table = []
@@ -338,10 +312,7 @@ def evaluate_all(
         for name, (value, excl) in zip(METRIC_ORDER, row)
     ]
     for name, column in zip(METRIC_ORDER, zip(*table)):
-        values = [value for value, _ in column]
-        if name == "SNR":
-            avg, excl = band_average(values)
-        else:
-            avg, excl = sum(values) / len(values), sum(x for _, x in column)
-        records.append(MetricRecord(pair_id, method, "avg", name, avg, excl))
+        avg, skipped = band_average([value for value, _ in column])
+        excluded = skipped + sum(x for _, x in column)
+        records.append(MetricRecord(pair_id, method, "avg", name, avg, excluded))
     return records

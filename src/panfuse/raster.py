@@ -185,6 +185,16 @@ class MultiBandImage:
         return len(self.bands)
 
 
+def require_same_grid(a, b, op: str) -> None:
+    """Raise ValueError, naming ``op``, unless ``a`` and ``b`` (each a
+    Raster or a MultiBandImage) have the same width and height."""
+    if a.width != b.width or a.height != b.height:
+        raise ValueError(
+            f"{op}: dimensions differ, {a.width}x{a.height} does not match "
+            f"{b.width}x{b.height} (resample first)"
+        )
+
+
 class PnmError(ValueError):
     """Malformed PNM input; ``offset`` is the byte position of the problem."""
 

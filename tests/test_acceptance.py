@@ -431,9 +431,8 @@ def test_criterion_8_pipeline_determinism(verdict, tmp_path, capsys):
             )
         manifest = run_dir / "manifest.json"
         manifest.write_text(
-            json.dumps(
-                {"pairs": entries, "methods": list(METHOD_NAMES), "output_dir": "fused"}
-            )
+            json.dumps({"pairs": entries, "methods": list(METHOD_NAMES), "output_dir": "fused"}),
+            encoding="utf-8",
         )
         assert main(["batch", "--manifest", str(manifest)]) == 0
         csv = run_dir / "fused" / "metrics.csv"

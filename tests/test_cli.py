@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import platform
 import shutil
 import subprocess
@@ -29,7 +30,7 @@ def pair_dir(tmp_path):
 
 
 def write_manifest(path, payload):
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     return path
 
 
@@ -174,7 +175,7 @@ class TestEvaluateCommand:
         csv = pair_dir / "m.csv"
         self.evaluate(pair_dir, pair_dir / "ms.ppm", csv, capsys)
         self.evaluate(pair_dir, pair_dir / "ms.ppm", csv, capsys)
-        text = csv.read_text()
+        text = csv.read_text(encoding="utf-8")
         assert text.count("pair_id,method,band,metric,value,excluded_pixels") == 1
         assert len(read_csv(csv)) == 2 * ROWS_PER_PRODUCT
 
@@ -197,7 +198,8 @@ class TestEvaluateCommand:
         assert "--csa-percentile must be a number in (0, 100)" in capsys.readouterr().err
         assert not csv.exists()
 
-    @pytest.mark.parametrize("pair_id", ["a\x01b", "\x1f", "x\x0b"])
+    # os.fsdecode gives an undecodable command-line byte as a lone surrogate.
+    @pytest.mark.parametrize("pair_id", ["a\x01b", "\x1f", "x\x0b", os.fsdecode(b"a\xffb")])
     def test_control_character_in_pair_id_is_usage_error(self, pair_dir, capsys, pair_id):
         csv = pair_dir / "m.csv"
         code = main(
@@ -213,7 +215,8 @@ class TestEvaluateCommand:
         )
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
-            f"error: --pair-id must not contain control characters, got {pair_id!r}\n"
+            "error: --pair-id must not contain control characters or undecodable bytes, "
+            f"got {pair_id!r}\n"
         )
         assert not csv.exists()
 
@@ -310,7 +313,7 @@ class TestManifestValidation:
     )
     def test_repeated_key(self, pair_dir, capsys, content, key):
         manifest = pair_dir / "manifest.json"
-        manifest.write_text(content)
+        manifest.write_text(content, encoding="utf-8")
         assert main(["batch", "--manifest", str(manifest)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: manifest repeats key {key!r}\n"
         assert not (pair_dir / "out").exists()
@@ -441,6 +444,13 @@ class TestManifestValidation:
             ("location", 7),
             ("ms_sensor", ["A"]),
             pytest.param("ms_resolution_m", 10**400, id="ms_resolution_m-10**400"),
+            # Labels reach the batch log: a terminal escape sequence, a lone
+            # surrogate that stdout cannot encode, other non-printables.
+            pytest.param("location", "\u001b[2Jcleared", id="location-ansi-clear-screen"),
+            pytest.param("location", "\ud800", id="location-lone-surrogate"),
+            pytest.param("ms_sensor", "a\tb", id="ms_sensor-tab"),
+            pytest.param("pan_sensor", "PAN\x9b", id="pan_sensor-c1-control"),
+            pytest.param("pan_sensor", "a\u00a0b", id="pan_sensor-no-break-space"),
         ],
     )
     def test_metadata_types_checked_at_load(self, pair_dir, capsys, key, value):
@@ -454,7 +464,7 @@ class TestManifestValidation:
         entry[key] = value
         payload = {"pairs": [entry], "methods": ["SF"], "output_dir": "out"}
         err = self.error(pair_dir, payload, capsys)
-        assert f"pairs[0]: {key!r} must be" in err
+        assert err.startswith(f"error: pairs[0]: {key!r} must be ") and err.count("\n") == 1, err
         assert not (pair_dir / "out").exists()
 
     def test_unreadable_manifest(self, tmp_path, capsys):
@@ -565,6 +575,27 @@ class TestBatchCommand:
         records = read_csv(tmp_path / "out" / "metrics.csv")
         assert {r.pair_id for r in records} == {"p0", "p2"}
 
+    def test_log_line_stdout_cannot_encode_keeps_the_table(self, tmp_path):
+        """Under the POSIX locale stdout is ASCII: the table is still
+        written, and the location prints backslash-escaped."""
+        manifest, payload = batch_manifest(tmp_path, n_pairs=2, methods=("SF",))
+        payload["pairs"][0]["location"] = "Zürich"
+        write_manifest(manifest, payload)
+        script = (
+            f"import sys; sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r}); "
+            "from panfuse import cli; sys.exit(cli.main(sys.argv[1:]))"
+        )
+        env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "batch", "--manifest", str(manifest)],
+            env=env,
+            capture_output=True,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert b"p0 Z\\xfcrich\n" in done.stdout
+        records = read_csv(tmp_path / "out" / "metrics.csv")
+        assert [r.pair_id for r in records[::ROWS_PER_PRODUCT]] == ["p0", "p1"]
+
     def test_any_exception_fails_only_its_task(self, tmp_path, capsys, monkeypatch):
         manifest, _ = batch_manifest(tmp_path, n_pairs=2, methods=("SF", "IHS"))
         ihs_calls = itertools.count()
@@ -642,7 +673,7 @@ class TestBatchCommand:
         captured = capsys.readouterr()
         assert "1 of 1 fusion tasks failed" in captured.err
         assert "wrote 0 records" in captured.out
-        assert csv.read_text() == "pair_id,method,band,metric,value,excluded_pixels\n"
+        assert csv.read_text(encoding="utf-8") == "pair_id,method,band,metric,value,excluded_pixels\n"
 
     def test_unwritable_pair_dir_fails_only_that_pair(self, tmp_path, capsys):
         manifest, payload = batch_manifest(tmp_path, n_pairs=2, methods=("SF",))
@@ -705,7 +736,9 @@ class TestBatchCommand:
     @pytest.mark.parametrize("value", ["1_0", "+2", " 2", "2 ", "\u0663", "", "0", "00"])
     def test_thread_env_plain_ascii_digits_only(self, value, tmp_path, capsys, monkeypatch):
         manifest, _ = batch_manifest(tmp_path, n_pairs=1, methods=("SF",))
-        monkeypatch.setenv("PANFUSE_THREADS", value)
+        # As UTF-8 bytes, which os.environ decodes by the file system encoding:
+        # under the POSIX locale that is ASCII, and it cannot encode U+0663.
+        monkeypatch.setitem(os.environb, b"PANFUSE_THREADS", value.encode("utf-8"))
         assert main(["batch", "--manifest", str(manifest)]) == EXIT_USAGE
         assert "PANFUSE_THREADS must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -805,20 +838,29 @@ class TestReportCommand:
 
     def test_malformed_row_names_line(self, pair_dir, capsys):
         csv = pair_dir / "m.csv"
-        csv.write_text("pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,oops,0\n")
+        csv.write_text(
+            "pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,oops,0\n",
+            encoding="utf-8",
+        )
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
 
     def test_negative_excluded_is_usage_error(self, pair_dir, capsys):
         csv = pair_dir / "m.csv"
-        csv.write_text("pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,0.5,-5\n")
+        csv.write_text(
+            "pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,0.5,-5\n",
+            encoding="utf-8",
+        )
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: line 2: bad excluded_pixels '-5'\n"
         assert not (pair_dir / "c").exists()
 
     def test_value_text_repr_never_writes_is_usage_error(self, pair_dir, capsys):
         csv = pair_dir / "m.csv"
-        csv.write_text("pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,1_000,0\n")
+        csv.write_text(
+            "pair_id,method,band,metric,value,excluded_pixels\np,SF,1,DI,1_000,0\n",
+            encoding="utf-8",
+        )
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: line 2: bad value '1_000'\n"
         assert not (pair_dir / "c").exists()
@@ -827,7 +869,8 @@ class TestReportCommand:
         csv = pair_dir / "m.csv"
         csv.write_text(
             "pair_id,method,band,metric,value,excluded_pixels\n"
-            "p,SF,1,DI,0.5,0\np,SF,banana,DI,0.5,0\n"
+            "p,SF,1,DI,0.5,0\np,SF,banana,DI,0.5,0\n",
+            encoding="utf-8",
         )
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: line 3: bad band 'banana'\n"
@@ -838,7 +881,8 @@ class TestReportCommand:
         csv = pair_dir / "m.csv"
         csv.write_text(
             "pair_id,method,band,metric,value,excluded_pixels\n"
-            f"p,SF,1,DI,0.5,0\np,SF,1,{metric},0.5,0\n"
+            f"p,SF,1,DI,0.5,0\np,SF,1,{metric},0.5,0\n",
+            encoding="utf-8",
         )
         before = sorted(pair_dir.rglob("*"))
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
@@ -857,7 +901,10 @@ class TestReportCommand:
         """A control character makes the SVG ill-formed XML, and values
         this large overflow the axis into NaN coordinates."""
         csv = pair_dir / "m.csv"
-        csv.write_text(f"pair_id,method,band,metric,value,excluded_pixels\n{rows}\n")
+        csv.write_text(
+            f"pair_id,method,band,metric,value,excluded_pixels\n{rows}\n",
+            encoding="utf-8",
+        )
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: {err}")
         assert not (pair_dir / "c").exists()
@@ -866,7 +913,8 @@ class TestReportCommand:
         csv = pair_dir / "m.csv"
         csv.write_text(
             "pair_id,method,band,metric,value,excluded_pixels\n"
-            + "p" * 200_000 + ",SF,1,DI,0.5,0\n"
+            + "p" * 200_000 + ",SF,1,DI,0.5,0\n",
+            encoding="utf-8",
         )
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -874,7 +922,7 @@ class TestReportCommand:
 
     def test_headerless_or_empty_body(self, pair_dir, capsys):
         csv = pair_dir / "m.csv"
-        csv.write_text("pair_id,method,band,metric,value,excluded_pixels\n")
+        csv.write_text("pair_id,method,band,metric,value,excluded_pixels\n", encoding="utf-8")
         assert main(["report", "--csv", str(csv), "--out", str(pair_dir / "c")]) == EXIT_USAGE
         assert "no records" in capsys.readouterr().err
 

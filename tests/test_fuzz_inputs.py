@@ -1,8 +1,11 @@
-"""Mutated metrics CSVs and batch manifests, run through ``cli.main``.
+"""Mutated metrics CSVs, batch manifests and PNM images, run through
+``cli.main``.
 
 Whatever the mutation, no exception escapes ``main``, the exit code is one
-of README's table, an exit 2 prints exactly one ``error:`` line, and a run
-that exits 0 leaves charts that parse as XML.
+of README's table, an exit 2 (and an exit 1 of ``fuse`` or ``evaluate``)
+prints exactly one ``error:`` line, and a run that exits 0 leaves what it
+reported: charts that parse as XML, a PAN-sized product that ``load_pnm``
+reads, or the rows of one product.
 """
 
 import io
@@ -16,7 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from panfuse.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from panfuse.fusion import METHOD_NAMES
+from panfuse.metrics import METRIC_ORDER
+from panfuse.raster import load_pnm
+from panfuse.report import read_csv
 from panfuse.synthetic import SyntheticSpec, generate_pair
 
 
@@ -229,3 +238,124 @@ def test_batch_on_a_mutated_manifest(inputs, data):
         assert len(tables) == 1
         if code == EXIT_OK:
             assert_report(tables[0], Path(d) / "charts")
+
+
+# --- PNM mutations: on the header fields, then on the file's bytes ---------
+
+MAGICS = [b"P1", b"P2", b"P3", b"P4", b"P5", b"P6", b"P7", b"p5", b"P", b""]
+SIZES = [b"0", b"1", b"4", b"7", b"9", b"16", b"-8", b"08", b"65536", b"1" + b"0" * 12]
+MAXVALS = [b"0", b"1", b"15", b"255", b"256", b"65535", b"65536", b"-1", b"1" + b"0" * 20]
+COMMENTS = [b"# c\n", b"#\n", b"# \xff\xfe\n", b"#no newline", b"# 1 2 3\n"]
+
+
+def pnm_fields(image: np.ndarray, binary: bool, maxval: int) -> dict:
+    """The header tokens, the separators after each and the payload of
+    ``image`` (uint8, 2-D or height x width x 3) as a PNM file."""
+    magic = {(True, 2): b"P5", (True, 3): b"P6", (False, 2): b"P2", (False, 3): b"P3"}
+    samples = image.astype(np.int64) * (maxval // 255)
+    if binary:
+        payload = samples.astype(">u2" if maxval > 255 else "u1").tobytes()
+    else:
+        payload = b" ".join(b"%d" % v for v in samples.ravel()) + b"\n"
+    return {
+        "magic": magic[binary, image.ndim],
+        "width": b"%d" % image.shape[1],
+        "height": b"%d" % image.shape[0],
+        "maxval": b"%d" % maxval,
+        "separators": [b"\n", b" ", b"\n", b"\n"],
+        "payload": payload,
+    }
+
+
+def pnm_bytes(fields: dict) -> bytes:
+    tokens = [fields[k] for k in ("magic", "width", "height", "maxval")]
+    header = b"".join(t + sep for t, sep in zip(tokens, fields["separators"]))
+    return header + fields["payload"]
+
+
+def swap(key, values):
+    def mutate(fields, draw):
+        fields[key] = draw(st.sampled_from(values))
+
+    mutate.__name__ = f"swap_{key}"
+    return mutate
+
+
+def comment(fields, draw):
+    at = draw(st.integers(0, 3))
+    fields["separators"][at] += draw(st.sampled_from(COMMENTS))
+
+
+def append(body, draw):
+    return body + draw(st.sampled_from([b"\n", b" 7", b"\x00" * 3, b"# tail\n", b"999999"]))
+
+
+HEADER_MUTATIONS = [
+    swap("magic", MAGICS),
+    swap("width", SIZES),
+    swap("height", SIZES),
+    swap("maxval", MAXVALS),
+    comment,
+]
+BYTE_MUTATIONS = [flip, truncate, append]
+
+
+@pytest.fixture(scope="module")
+def images():
+    """An 8x8 three-band MS image and an 8x8 PAN, uint8 with no zero."""
+    rng = np.random.default_rng(5)
+    return {
+        "ms": rng.integers(1, 256, (8, 8, 3), dtype=np.uint8),
+        "pan": rng.integers(1, 256, (8, 8), dtype=np.uint8),
+    }
+
+
+@st.composite
+def pnm_case(draw, images):
+    """The command, the input it mutates and that input's bytes."""
+    command = draw(st.sampled_from(["fuse", "evaluate"]))
+    target = draw(st.sampled_from(["ms", "pan"] + (["fused"] if command == "evaluate" else [])))
+    image = images["pan" if target == "pan" else "ms"]
+    fields = pnm_fields(image, draw(st.booleans()), draw(st.sampled_from([255, 65535])))
+    mutations = st.sampled_from(HEADER_MUTATIONS + BYTE_MUTATIONS)
+    # Header mutations first, on the fields; byte mutations on the file.
+    chosen = sorted(
+        draw(st.lists(mutations, min_size=1, max_size=3)), key=BYTE_MUTATIONS.__contains__
+    )
+    body = None
+    for mutate in chosen:
+        if mutate in BYTE_MUTATIONS:
+            body = mutate(bytearray(pnm_bytes(fields)) if body is None else body, draw)
+        else:
+            mutate(fields, draw)
+    return command, target, bytes(pnm_bytes(fields) if body is None else body)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuse_and_evaluate_on_a_mutated_pnm(inputs, images, data):
+    root, _, _ = inputs
+    command, target, body = data.draw(pnm_case(images))
+    with tempfile.TemporaryDirectory(dir=root) as d:
+        d = Path(d)
+        paths = {"ms": d / "ms.ppm", "pan": d / "pan.pgm", "fused": d / "fused.ppm"}
+        for name, path in paths.items():
+            image = images["pan" if name == "pan" else "ms"]
+            path.write_bytes(pnm_bytes(pnm_fields(image, True, 255)))
+        paths[target].write_bytes(body)
+        argv = [command, "--ms", str(paths["ms"]), "--pan", str(paths["pan"])]
+        if command == "fuse":
+            argv += ["--method", data.draw(st.sampled_from(METHOD_NAMES)), "--out", str(d / "o.ppm")]
+        else:
+            argv += ["--fused", str(paths["fused"]), "--pair-id", "p", "--method", "SF"]
+            argv += ["--csv", str(d / "m.csv")]
+        code, _, err = run(argv)
+        # A malformed or mismatched image is a runtime failure, not a usage error.
+        assert code in (EXIT_OK, EXIT_FAILURE)
+        if code == EXIT_FAILURE:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        elif command == "fuse":
+            pan, product = load_pnm(paths["pan"]), load_pnm(d / "o.ppm")
+            assert (product.width, product.height) == (pan.width, pan.height)
+        else:
+            assert len(read_csv(d / "m.csv")) == len(METRIC_ORDER) * 4

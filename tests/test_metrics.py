@@ -569,6 +569,24 @@ class TestEvaluateAll:
             assert excluded[("avg", metric)] == 0
         assert excluded[("avg", "SNR")] == 2
 
+    def test_any_avg_row_drops_and_counts_an_infinite_band(self):
+        """Every avg row follows SNR's rule: a DI that overflows to inf
+        (a float band of 1e10 over a reference of 1e-300) is left out of
+        the mean and counted, on top of the bands' excluded pixels."""
+        ms, pan = self._pair(10)
+        m, f = ms.bands[0].samples.copy(), ms.bands[0].samples.copy()
+        m[0, 0], f[0, 0] = 1e-300, 1e10
+        m[1, :2] = 0.0  # two excluded pixels in band 1
+        ms = MultiBandImage((Raster(m),) + ms.bands[1:])
+        fused = MultiBandImage((Raster(f),) + ms.bands[1:])
+        with np.errstate(over="ignore"):
+            records = evaluate_all(ms, pan, fused, "p", "X")
+        di = {r.band: r for r in records if r.metric == "DI"}
+        assert di[1].value == math.inf and di[1].excluded_pixels == 2
+        assert di["avg"].value == (di[2].value + di[3].value) / 2
+        assert di["avg"].excluded_pixels == 2 + 1
+        assert all(type(r.excluded_pixels) is int for r in records)
+
     def test_matches_metric_by_metric_recomputation(self):
         ms, pan = self._pair(5)
         fused = fuse_sf(ms, pan)

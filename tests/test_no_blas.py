@@ -46,7 +46,7 @@ def blas_uses(tree: ast.AST) -> list[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_blas_call(path):
-    assert blas_uses(ast.parse(path.read_text(), str(path))) == []
+    assert blas_uses(ast.parse(path.read_text(encoding="utf-8"), str(path))) == []
 
 
 @pytest.mark.parametrize(

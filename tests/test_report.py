@@ -41,7 +41,7 @@ class TestCsvRoundTrip:
     def test_header_and_rows(self, tmp_path):
         path = tmp_path / "m.csv"
         write_csv(SAMPLE, path)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "pair_id,method,band,metric,value,excluded_pixels"
         assert len(lines) == 1 + len(SAMPLE)
         assert lines[1] == "p1,SF,1,DI,0.1,0"
@@ -95,7 +95,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "m.csv"
         write_csv(SAMPLE[:2], path, append=True)
         write_csv(SAMPLE[2:4], path, append=True)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert sum(1 for line in lines if line.startswith("pair_id")) == 1
         assert len(read_csv(path)) == 4
@@ -110,57 +110,63 @@ class TestCsvRoundTrip:
 class TestReadCsvErrors:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         with pytest.raises(ValueError, match="no records"):
             read_csv(path)
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + "\n")
+        path.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no records"):
             read_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text("a,b,c\n1,2,3\n")
+        path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1: bad header"):
             read_csv(path)
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + "\np,SF,1,DI,0.5,0\np,SF,1,DI\n")
+        path.write_text(",".join(CSV_HEADER) + "\np,SF,1,DI,0.5,0\np,SF,1,DI\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 3: expected 6 fields, got 4"):
             read_csv(path)
 
     def test_bad_value_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + "\np,SF,1,DI,zero,0\n")
+        path.write_text(",".join(CSV_HEADER) + "\np,SF,1,DI,zero,0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2: bad value 'zero'"):
             read_csv(path)
 
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_nan_rejected(self, tmp_path, value):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,{value},0\n")
+        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,{value},0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"line 2: bad value '{value}'"):
             read_csv(path)
 
     def test_csv_syntax_error_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + "\np,SF,1,DI,0.5,0\n" + "p" * 200_000 + "\n")
+        path.write_text(
+            ",".join(CSV_HEADER) + "\np,SF,1,DI,0.5,0\n" + "p" * 200_000 + "\n",
+            encoding="utf-8",
+        )
         with pytest.raises(ValueError, match=r"line 3: field larger than field limit"):
             read_csv(path)
 
     def test_bad_excluded_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + "\np,SF,1,DI,0.5,many\n")
+        path.write_text(",".join(CSV_HEADER) + "\np,SF,1,DI,0.5,many\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2: bad excluded_pixels"):
             read_csv(path)
 
     @pytest.mark.parametrize("excluded", ["-5", "1_000", "+3", " 3", "\u0663"])
     def test_excluded_must_be_plain_digits(self, tmp_path, excluded):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,2,DI,0.5,{excluded}\n")
+        path.write_text(
+            ",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,2,DI,0.5,{excluded}\n",
+            encoding="utf-8",
+        )
         want = re.escape(f"line 3: bad excluded_pixels '{excluded}'")
         with pytest.raises(ValueError, match=want):
             read_csv(path)
@@ -171,7 +177,10 @@ class TestReadCsvErrors:
     )
     def test_band_must_be_avg_or_an_index(self, tmp_path, band):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,{band},DI,0.5,0\n")
+        path.write_text(
+            ",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,{band},DI,0.5,0\n",
+            encoding="utf-8",
+        )
         with pytest.raises(ValueError, match=re.escape(f"line 3: bad band {band!r}")):
             read_csv(path)
 
@@ -192,7 +201,10 @@ class TestReadCsvErrors:
     @pytest.mark.parametrize("metric", ["", ".", "..", "../escaped", "a/b", "a\\b", "/abs"])
     def test_metric_must_be_a_plain_file_name(self, tmp_path, metric):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,1,{metric},0.5,0\n")
+        path.write_text(
+            ",".join(CSV_HEADER) + f"\np,SF,1,DI,0.5,0\np,SF,1,{metric},0.5,0\n",
+            encoding="utf-8",
+        )
         with pytest.raises(ValueError, match=re.escape(f"line 3: bad metric {metric!r}")):
             read_csv(path)
 
@@ -204,7 +216,7 @@ class TestReadCsvErrors:
         names = {"pair_id": "p", "method": "SF", "metric": "DI"}
         names[field] = f"a{control}b"
         path = tmp_path / "m.csv"
-        with path.open("w", newline="") as fh:
+        with path.open("w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows([
                 CSV_HEADER,
                 ["p", "SF", 1, "DI", 0.5, 0],
@@ -217,7 +229,7 @@ class TestReadCsvErrors:
     @pytest.mark.parametrize("value", ["1.5e308", "-9e307", "1.0000000000000002e300"])
     def test_values_beyond_the_chart_range_are_rejected(self, tmp_path, value):
         path = tmp_path / "m.csv"
-        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,{value},0\n")
+        path.write_text(",".join(CSV_HEADER) + f"\np,SF,1,DI,{value},0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"line 2: bad value {value!r}")):
             read_csv(path)
 
@@ -383,12 +395,12 @@ class TestRenderReports:
         paths = render_reports(records, tmp_path / "charts")
         assert [p.name for p in paths] == ["DI.svg", "SNR.svg"]
         for p in paths:
-            assert p.read_text().startswith("<?xml")
+            assert p.read_text(encoding="utf-8").startswith("<?xml")
 
     def test_hpdi_chart_notes_polarity(self, tmp_path):
         records = [rec("p1", "SF", "avg", "HPDI", 0.4)]
         (path,) = render_reports(records, tmp_path)
-        assert "larger values indicate better spatial quality" in path.read_text()
+        assert "larger values indicate better spatial quality" in path.read_text(encoding="utf-8")
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         first = render_reports(SAMPLE, tmp_path / "a")
