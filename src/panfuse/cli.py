@@ -24,7 +24,7 @@ from .fusion import METHOD_NAMES, fuse, normalize_method
 from .metrics import DEFAULT_CSA_PERCENTILE, MetricRecord, evaluate_all
 from .raster import MultiBandImage, Raster, load_pnm, resample_nearest, save_pnm
 from .report import (
-    plain_file_name, plain_int, read_csv, render_reports, repeated_rows, write_csv, xml_text
+    plain_file_name, plain_int, read_csv, render_reports, repeated_rows, write_csv
 )
 from .synthetic import SyntheticSpec, generate_pair
 
@@ -414,7 +414,8 @@ def cmd_fuse(args) -> int:
 def cmd_evaluate(args) -> int:
     method = _method(args.method)
     percentile = _check_percentile(args.csa_percentile, "--csa-percentile")
-    if not xml_text(args.pair_id):
+    # Echoed to stdout: the printable rule of a manifest's labels.
+    if not args.pair_id.isprintable():
         raise UsageError(
             "--pair-id must not contain control characters or undecodable bytes, "
             f"got {args.pair_id!r}"

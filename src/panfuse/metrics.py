@@ -6,8 +6,10 @@ image. Pixels whose denominator is zero are excluded from the ratio-based
 means and counted, rather than poisoning the average; a perfect SNR is
 reported as the +infinity sentinel.
 
-DI, SNR and NRMSE take one difference ``f - m`` of the bands' operands
-(``raster.operand``), which ``evaluate_all`` shares between the three.
+DI, SNR and NRMSE have one implementation, :func:`_spectral`, which the
+public ``deviation_index``, ``snr`` and ``nrmse`` and ``evaluate_all``
+all read: one difference ``f - m`` of the bands' operands
+(``raster.operand``) shared between the three.
 On the 8-bit grid (:func:`_exact`) it is int16, the sums of squares are
 exact integers, and the spatial metrics read int16 Laplacians: every
 metric has the bits it has on float64 copies of the same bands.
@@ -91,12 +93,6 @@ def _exact(f: Raster, m: Raster) -> bool:
     return dn8(f) is not None and dn8(m) is not None
 
 
-def _difference(f: Raster, m: Raster) -> np.ndarray:
-    """``f - m`` as a fresh array from the bands' operands: int16 when
-    :func:`_exact`, else float64."""
-    return np.subtract(operand(f), operand(m), dtype=np.int16 if _exact(f, m) else np.float64)
-
-
 def _sum_squares(a: np.ndarray, exact: bool) -> float:
     """The sum of ``a ** 2``. When ``exact`` (see :func:`_exact`), ``a``
     holds uint8 samples or their int16 difference, and the sum is taken
@@ -109,14 +105,6 @@ def _sum_squares(a: np.ndarray, exact: bool) -> float:
     return float(np.sum(np.square(a, dtype=np.float64)))
 
 
-def _snr(signal: float, noise: float) -> float:
-    return math.inf if noise == 0.0 else math.sqrt(signal / noise)
-
-
-def _nrmse(noise: float, n: int) -> float:
-    return math.sqrt(noise / n / 255.0 ** 2)
-
-
 def deviation_index(f: Raster, m: Raster) -> tuple[float, int]:
     """Mean of |f - m| / m over pixels where m is nonzero.
 
@@ -124,35 +112,32 @@ def deviation_index(f: Raster, m: Raster) -> tuple[float, int]:
     pixels. Raises if every pixel is excluded.
     """
     require_same_grid(f, m, "deviation_index")
-    d = _difference(f, m)
-    return _mean_ratio(np.abs(d, out=d), m, "DI: reference band")
+    return _mean_ratio(_spectral(f, m)[0], m, "DI: reference band")
 
 
 def snr(f: Raster, m: Raster) -> float:
     """sqrt(sum f^2 / sum (f - m)^2); +inf when the error energy is zero."""
     require_same_grid(f, m, "snr")
-    exact = _exact(f, m)
-    return _snr(_sum_squares(operand(f), exact), _sum_squares(_difference(f, m), exact))
+    return _spectral(f, m)[1]
 
 
 def nrmse(f: Raster, m: Raster) -> float:
     """Root mean square error normalized by the 255 DN range."""
     require_same_grid(f, m, "nrmse")
-    d = _difference(f, m)
-    return _nrmse(_sum_squares(d, _exact(f, m)), d.size)
+    return _spectral(f, m)[2]
 
 
-def _spectral(f: Raster, m: Raster) -> list[tuple[float, int]]:
-    """(value, excluded) of DI, SNR and NRMSE from one difference
-    ``d = f - m``: its energy, shared by SNR and NRMSE, is taken first,
-    then ``d`` becomes ``|d|`` in place for DI."""
+def _spectral(f: Raster, m: Raster) -> tuple[np.ndarray, float, float]:
+    """(|f - m|, SNR, NRMSE) from one difference ``d = f - m`` of the
+    bands' operands, int16 when :func:`_exact`, else float64: its energy,
+    shared by SNR and NRMSE, is taken first, then ``d`` becomes ``|d|``
+    in place, DI's numerator for :func:`_mean_ratio`."""
     exact = _exact(f, m)
-    d = _difference(f, m)
+    d = np.subtract(operand(f), operand(m), dtype=np.int16 if exact else np.float64)
     noise = _sum_squares(d, exact)
     signal = _sum_squares(operand(f), exact)
-    np.abs(d, out=d)
-    di = _mean_ratio(d, m, "DI: reference band")
-    return [di, (_snr(signal, noise), 0), (_nrmse(noise, d.size), 0)]
+    ratio = math.inf if noise == 0.0 else math.sqrt(signal / noise)
+    return np.abs(d, out=d), ratio, math.sqrt(noise / d.size / 255.0 ** 2)
 
 
 def _centred(r: Raster, writeable: bool = True) -> tuple[np.ndarray, float]:
@@ -302,7 +287,9 @@ def evaluate_all(
     # One row per band of (value, excluded) pairs in METRIC_ORDER.
     table = []
     for fband, mband in zip(fused.bands, ms.bands):
-        row = _spectral(fband, mband) + [(fcc(fband, pan), 0), hpdi(fband, pan)]
+        diff, ratio, error = _spectral(fband, mband)
+        row = [_mean_ratio(diff, mband, "DI: reference band"), (ratio, 0), (error, 0)]
+        row += [(fcc(fband, pan), 0), hpdi(fband, pan)]
         row += [(c, 0) for c in csa(fband, pan, csa_percentile)]
         table.append(row)
 

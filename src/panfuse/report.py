@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -58,11 +59,18 @@ def xml_text(text: str) -> bool:
 
 def plain_file_name(name: str) -> bool:
     """Whether ``name`` is one plain path component that the OS can open,
-    that stays inside its directory and that a chart can carry: non-empty,
-    :func:`xml_text` (so no NUL), no ``/`` or ``\\``, and neither ``.``
-    nor ``..``. An absolute path always contains a separator."""
-    separator = "/" in name or "\\" in name
-    return bool(name) and xml_text(name) and not separator and name not in (".", "..")
+    that stays inside its directory, that a chart can carry and that a log
+    line can print: non-empty, printable (``str.isprintable``: no control
+    character, so no NUL, no lone surrogate and no separator other than
+    the ASCII space; so also :func:`xml_text`), carried by the file system
+    encoding (only ASCII under the POSIX locale), no ``/`` or ``\\``, and
+    neither ``.`` nor ``..``. An absolute path always contains a
+    separator."""
+    special = "/" in name or "\\" in name or name in (".", "..")
+    encoding = sys.getfilesystemencoding()
+    # A character the encoding lacks comes back as "?".
+    carried = name.encode(encoding, "replace").decode(encoding) == name
+    return bool(name) and name.isprintable() and carried and not special
 
 
 def plain_int(text: str) -> int | None:

@@ -35,6 +35,8 @@ class SyntheticSpec:
     smoothing_passes: int = 3
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"dimensions must be >= 1, got {self.width}x{self.height}")
         if self.scale_factor < 2:

@@ -199,7 +199,11 @@ class TestEvaluateCommand:
         assert not csv.exists()
 
     # os.fsdecode gives an undecodable command-line byte as a lone surrogate.
-    @pytest.mark.parametrize("pair_id", ["a\x01b", "\x1f", "x\x0b", os.fsdecode(b"a\xffb")])
+    # LF, a C1 CSI and a line separator would reach stdout in the log line.
+    @pytest.mark.parametrize(
+        "pair_id",
+        ["a\x01b", "\x1f", "x\x0b", os.fsdecode(b"a\xffb"), "a\nb", "c\x9b2Jd", "a\u2028b"],
+    )
     def test_control_character_in_pair_id_is_usage_error(self, pair_dir, capsys, pair_id):
         csv = pair_dir / "m.csv"
         code = main(
@@ -259,6 +263,15 @@ class TestGenSyntheticCommand:
         capsys.readouterr()
         for name in ("ms.ppm", "pan.pgm", "reference.ppm"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = main(
+            ["gen-synthetic", "--seed", "-1", "--width", "8", "--height", "8", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_invalid_spec_is_usage_error(self, tmp_path, capsys):
         code = main(
@@ -396,7 +409,11 @@ class TestManifestValidation:
 
     @pytest.mark.parametrize(
         "pair_id",
-        ["../escaped", "..", ".", "a/b", "a\\b", "/tmp/abs", "a\u0000b", "a\u0001b", "a\ud800b"],
+        [
+            "../escaped", "..", ".", "a/b", "a\\b", "/tmp/abs", "a\u0000b", "a\u0001b", "a\ud800b",
+            # Printed in the batch log: no control character or line break.
+            "a\nb", "c\u009b2Jd", "a\tb", "a\rb", "a\u007fb", "a\u00a0b", "a\u2028b",
+        ],
     )
     def test_pair_id_must_be_one_path_component(self, pair_dir, capsys, pair_id):
         payload = {
@@ -406,6 +423,7 @@ class TestManifestValidation:
         }
         err = self.error(pair_dir, payload, capsys)
         assert "pairs[0]: 'pair_id' must be a plain file name" in err
+        assert err.count("\n") == 1
         assert not (pair_dir / "out").exists()
         assert not (pair_dir / "escaped").exists()
 
@@ -876,7 +894,8 @@ class TestReportCommand:
         assert capsys.readouterr().err == "error: line 3: bad band 'banana'\n"
         assert not (pair_dir / "c").exists()
 
-    @pytest.mark.parametrize("metric", ["../escaped", "a/b", ""])
+    # A C1 CSI (U+009B) or a tab would name the chart file and reach stdout.
+    @pytest.mark.parametrize("metric", ["../escaped", "a/b", "", "c\x9b2Jd", "a\tb"])
     def test_metric_that_is_not_a_file_name_is_usage_error(self, pair_dir, capsys, metric):
         csv = pair_dir / "m.csv"
         csv.write_text(

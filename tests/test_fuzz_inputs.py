@@ -6,10 +6,17 @@ of README's table, an exit 2 (and an exit 1 of ``fuse`` or ``evaluate``)
 prints exactly one ``error:`` line, and a run that exits 0 leaves what it
 reported: charts that parse as XML, a PAN-sized product that ``load_pnm``
 reads, or the rows of one product.
+
+A few manifests and CSVs also run through ``python -m panfuse.cli`` under
+the POSIX locale, where stdout and file names are ASCII: an in-process
+``StringIO`` takes any text and so hides an encoding fault.
 """
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +28,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from panfuse import cli
 from panfuse.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from panfuse.fusion import METHOD_NAMES
 from panfuse.metrics import METRIC_ORDER
@@ -238,6 +246,88 @@ def test_batch_on_a_mutated_manifest(inputs, data):
         assert len(tables) == 1
         if code == EXIT_OK:
             assert_report(tables[0], Path(d) / "charts")
+
+
+# --- The same inputs in a subprocess under the POSIX locale ---------------
+
+POSIX = {"LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_posix(argv, directory: Path) -> int:
+    """``python -m panfuse.cli argv`` in ``directory`` under the POSIX
+    locale with UTF-8 mode and locale coercion off; returns the exit code
+    after checking that stdout is ASCII, that no traceback is printed and
+    that an exit 2 prints exactly one ``error:`` line."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **POSIX, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-m", "panfuse.cli", *argv],
+        cwd=directory, env=env, capture_output=True, timeout=120,
+    )
+    assert done.stdout.isascii(), done.stdout
+    assert b"Traceback" not in done.stderr, done.stderr
+    if done.returncode == EXIT_USAGE:
+        assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1, done.stderr
+    return done.returncode
+
+
+def posix_batch(root: Path, text: str) -> int:
+    with tempfile.TemporaryDirectory(dir=root) as d:
+        # One level down, so that an output_dir of ".." stays inside d.
+        (Path(d) / "m").mkdir()
+        code = run_posix(batch_argv(Path(d) / "m", text), Path(d) / "m")
+        assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
+        if code == EXIT_USAGE:
+            assert [p.name for p in Path(d).rglob("*")] == ["m", "manifest.json"]
+        return code
+
+
+def posix_report(root: Path, body: bytes) -> int:
+    with tempfile.TemporaryDirectory(dir=root) as d:
+        (Path(d) / "m.csv").write_bytes(body)
+        code = run_posix(["report", "--csv", "m.csv", "--out", "charts"], Path(d))
+        assert code in (EXIT_OK, EXIT_USAGE)
+        assert (Path(d) / "charts").exists() == (code == EXIT_OK)
+        return code
+
+
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_posix_locale_on_mutated_inputs(inputs, data):
+    root, manifest, valid = inputs
+    posix_batch(root, data.draw(manifest_text(manifest)))
+    body = bytearray(valid)
+    for mutate in data.draw(st.lists(st.sampled_from(CSV_MUTATIONS), min_size=1, max_size=3)):
+        body = mutate(body, data.draw)
+    posix_report(root, bytes(body))
+
+
+@pytest.mark.parametrize(
+    "key, label, code",
+    [
+        ("location", "Z\u00fcrich", EXIT_OK),  # printed backslash-escaped
+        ("pair_id", "c\u009b2Jd", EXIT_USAGE),
+        ("pair_id", "p\u00fc", EXIT_USAGE),  # no ASCII file name
+    ],
+)
+def test_posix_locale_batch_labels(inputs, key, label, code):
+    root, manifest, _ = inputs
+    pair = {**manifest["pairs"][0], key: label}
+    assert posix_batch(root, json.dumps({**manifest, "pairs": [pair]})) == code
+
+
+@pytest.mark.parametrize(
+    "row, code",
+    [
+        ("p\u00fc,SF\u00fc,1,DI,0.5,0", EXIT_OK),  # only in the charts' UTF-8 text
+        ("p,SF,1,c\u009b2Jd,0.5,0", EXIT_USAGE),
+        ("p,SF,1,D\u00fc,0.5,0", EXIT_USAGE),  # no ASCII file name
+    ],
+)
+def test_posix_locale_report_labels(inputs, row, code):
+    root, _, valid = inputs
+    header = valid.split(b"\n", 1)[0]
+    assert posix_report(root, header + b"\n" + row.encode("utf-8") + b"\n") == code
 
 
 # --- PNM mutations: on the header fields, then on the file's bytes ---------

@@ -198,7 +198,10 @@ class TestReadCsvErrors:
         with pytest.raises(ValueError, match=re.escape(f"line 3: bad value {value!r}")):
             read_csv(path)
 
-    @pytest.mark.parametrize("metric", ["", ".", "..", "../escaped", "a/b", "a\\b", "/abs"])
+    @pytest.mark.parametrize(
+        "metric",
+        ["", ".", "..", "../escaped", "a/b", "a\\b", "/abs", "a\tb", "c\x9b2Jd", "a\u2028b"],
+    )
     def test_metric_must_be_a_plain_file_name(self, tmp_path, metric):
         path = tmp_path / "m.csv"
         path.write_text(
@@ -252,7 +255,13 @@ class TestReadCsvErrors:
         ("a\ufffeb", False),
         ("a\ud800b", False),
         ("a\udcffb", False),
-        ("a\tb", True),
+        ("a\tb", False),
+        ("a\nb", False),
+        ("a\x7fb", False),
+        ("c\x9b2Jd", False),
+        ("a\xa0b", False),
+        ("a\u2028b", False),
+        ("a b", True),
         ("/abs", False),
     ],
 )
