@@ -124,6 +124,20 @@ def _manifest_str(entry: dict, key: str, where: str) -> str:
     return value
 
 
+def _file_system_name(value: str, label: str) -> str:
+    """``value``, a manifest path, if the file system encoding carries it
+    (only ASCII under the POSIX locale); one it cannot carry would fail
+    at ``mkdir`` or read as a missing file."""
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:
+        raise UsageError(
+            f"{label} cannot be encoded in the file system encoding "
+            f"{sys.getfilesystemencoding()!r}, got {value!r}"
+        ) from None
+    return value
+
+
 def _is_real(value) -> bool:
     """A finite JSON number that fits a float: NaN, infinities and integers
     such as 10**400 fail the comparison."""
@@ -216,7 +230,7 @@ def load_manifest(path) -> BatchManifest:
     if any("\ud800" <= c <= "\udfff" for c in raw["output_dir"]):
         raise UsageError("'output_dir' must not contain a surrogate code point")
     base = manifest_path.parent
-    output_dir = base / raw["output_dir"]
+    output_dir = base / _file_system_name(raw["output_dir"], "'output_dir'")
 
     percentile = _check_percentile(
         raw.get("csa_percentile", DEFAULT_CSA_PERCENTILE), "'csa_percentile'"
@@ -237,8 +251,10 @@ def load_manifest(path) -> BatchManifest:
         if pair_id in seen_ids:
             raise UsageError(f"{where}: duplicate pair_id {pair_id!r}")
         seen_ids.add(pair_id)
-        ms_path = base / _manifest_str(entry, "ms_path", where)
-        pan_path = base / _manifest_str(entry, "pan_path", where)
+        ms_path, pan_path = (
+            base / _file_system_name(_manifest_str(entry, key, where), f"{where}: {key!r}")
+            for key in ("ms_path", "pan_path")
+        )
         for p in (ms_path, pan_path):
             if not p.is_file():
                 raise UsageError(f"{where}: input file not found: {p}")
@@ -417,8 +433,8 @@ def cmd_evaluate(args) -> int:
     # Echoed to stdout: the printable rule of a manifest's labels.
     if not args.pair_id.isprintable():
         raise UsageError(
-            "--pair-id must not contain control characters or undecodable bytes, "
-            f"got {args.pair_id!r}"
+            "--pair-id must be printable: no control, format or separator "
+            f"character but the space, and no undecodable byte, got {args.pair_id!r}"
         )
     ms, pan = _load_pair(args.ms, args.pan)
     fused = _as_multiband(load_pnm(args.fused))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import MultiBandImage, Raster, operand
+from .raster import MultiBandImage, Raster, operand, row_strips
 
 __all__ = [
     "IhsPlanes",
@@ -91,38 +91,43 @@ def intensity(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def ihs_forward(rgb: MultiBandImage) -> IhsPlanes:
     """RGB to (I, v1, v2): I = (R+G+B)/3, v1 = (-R-G+2B)/sqrt(6),
-    v2 = (R-G)/sqrt(2)."""
+    v2 = (R-G)/sqrt(2); the planes are built one row strip
+    (``raster.row_strips``) at a time."""
     r, g, b = _require_rgb(rgb, "ihs_forward")
-    i = intensity(r, g, b)
-    # ((-r - g) + 2b) / sqrt(6), op for op, in place; the first op is
-    # taken in float64, as uint8 samples would wrap.
-    v1 = np.negative(r, dtype=np.float64)
-    v1 -= g
-    twice_b = np.multiply(b, 2.0)
-    v1 += twice_b
-    v1 /= _SQRT6
-    v2 = np.subtract(r, g, out=twice_b, dtype=np.float64)
-    v2 /= _SQRT2
+    i, v1, v2 = (np.empty(r.shape) for _ in range(3))
+    for rows in row_strips(r.shape):
+        i[rows] = intensity(r[rows], g[rows], b[rows])
+        # ((-r - g) + 2b) / sqrt(6), op for op, in place; the first op is
+        # taken in float64, as uint8 samples would wrap.
+        v1_rows = np.negative(r[rows], out=v1[rows], dtype=np.float64)
+        v1_rows -= g[rows]
+        v1_rows += np.multiply(b[rows], 2.0)
+        v1_rows /= _SQRT6
+        v2_rows = np.subtract(r[rows], g[rows], out=v2[rows], dtype=np.float64)
+        v2_rows /= _SQRT2
     return IhsPlanes(i=Raster(i), v1=Raster(v1), v2=Raster(v2))
 
 
 def ihs_inverse(planes: IhsPlanes) -> MultiBandImage:
-    """(I, v1, v2) back to RGB. Output is not clamped; clamping is the
-    fusion pipeline's final step."""
+    """(I, v1, v2) back to RGB, one row strip (``raster.row_strips``) at a
+    time. Output is not clamped; clamping is the fusion pipeline's final
+    step."""
     i = planes.i.samples
     v1 = planes.v1.samples
     v2 = planes.v2.samples
-    # i - v1/sqrt(6) +- v2/sqrt(2) and i + (2 v1)/sqrt(6), op for op, with
-    # each quotient taken once.
-    v1_part = v1 / _SQRT6
-    v2_part = v2 / _SQRT2
-    r = i - v1_part
-    r += v2_part
-    g = np.subtract(i, v1_part, out=v1_part)
-    g -= v2_part
-    b = np.multiply(v1, 2.0, out=v2_part)
-    b /= _SQRT6
-    b += i
+    r, g, b = (np.empty(i.shape) for _ in range(3))
+    for rows in row_strips(i.shape):
+        # i - v1/sqrt(6) +- v2/sqrt(2) and i + (2 v1)/sqrt(6), op for op,
+        # with each quotient taken once.
+        v1_part = v1[rows] / _SQRT6
+        v2_part = v2[rows] / _SQRT2
+        r_rows = np.subtract(i[rows], v1_part, out=r[rows])
+        r_rows += v2_part
+        g_rows = np.subtract(i[rows], v1_part, out=g[rows])
+        g_rows -= v2_part
+        b_rows = np.multiply(v1[rows], 2.0, out=b[rows])
+        b_rows /= _SQRT6
+        b_rows += i[rows]
     return MultiBandImage((Raster(r), Raster(g), Raster(b)))
 
 

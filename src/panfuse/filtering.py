@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .raster import Raster, dn8, memoised, operand
+from .raster import Raster, dn8, memoised, operand, row_strips
 
 __all__ = ["box_lpf", "unsharp_mask", "laplacian_hp"]
 
@@ -25,11 +25,12 @@ __all__ = ["box_lpf", "unsharp_mask", "laplacian_hp"]
 def window3x3(x: np.ndarray, *reductions) -> list[np.ndarray]:
     """Reduce each 3x3 window of ``x`` under replicate padding, once per
     ufunc in ``reductions`` (``np.add``, ``np.minimum``, ``np.maximum``),
-    from one padded copy. Each is taken separably, over three row-shifted
-    slices and then three column-shifted ones, as ``f(f(a, b), c)`` with
-    the outer call in place (so a pass allocates one array, as ``a + b + c``
-    does). For ``np.add`` on integral DN every partial sum is an exact
-    integer, so the order is immaterial; min and max are exact in any order.
+    from one padded copy, into arrays of ``x``'s dtype. Each is taken
+    separably, one row strip (``raster.row_strips``) at a time, over three
+    row-shifted slices and then three column-shifted ones, as
+    ``f(f(a, b), c)``. For ``np.add`` on integral DN every partial sum is
+    an exact integer, so the order is immaterial; min and max are exact in
+    any order.
     """
     h, w = x.shape
     # Replicate padding by slice assignment, a fraction of np.pad's cost.
@@ -37,12 +38,14 @@ def window3x3(x: np.ndarray, *reductions) -> list[np.ndarray]:
     p[1:-1, 1:-1] = x
     p[0, 1:-1], p[-1, 1:-1] = x[0], x[-1]
     p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
-    out = []
-    for f in reductions:
-        rows = f(p[0:h], p[1:h + 1])
-        f(rows, p[2:h + 2], out=rows)
-        window = f(rows[:, 0:w], rows[:, 1:w + 1])
-        out.append(f(window, rows[:, 2:w + 2], out=window))
+    out = [np.empty((h, w), x.dtype) for _ in reductions]
+    for strip in row_strips((h, w)):
+        top, end = strip.start, strip.stop
+        for f, plane in zip(reductions, out):
+            rows = f(p[top:end], p[top + 1:end + 1])
+            f(rows, p[top + 2:end + 2], out=rows)
+            window = f(rows[:, 0:w], rows[:, 1:w + 1], out=plane[strip])
+            f(window, rows[:, 2:w + 2], out=window)
     return out
 
 

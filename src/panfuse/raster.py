@@ -4,10 +4,12 @@ quantization.
 Pixel data is carried as digital numbers (DN). A Raster built from uint8
 or int16 samples holds only that array (:func:`operand`) and derives its
 float64 samples on first read; any other Raster holds float64 samples.
-Quantization to the 8-bit grid happens only in :func:`quantize_in_place`
+Quantization to the 8-bit grid happens only through one clamp-and-round
+step, reached by :func:`quantize_rows` (and :func:`quantize_in_place`)
 and :func:`clamp_quantize`, which products pass through once, at the end
 of fusion or at save time, so fusion arithmetic never loses fractional
-intermediates; both round straight into a fresh uint8 array.
+intermediates; each rounds straight into a fresh uint8 array, one row
+strip (:func:`row_strips`) at a time.
 
 A Raster is on the 8-bit grid when ``dn8(r) is not None``, decided once
 when it is built: every quantized result, every loaded band whose
@@ -407,27 +409,64 @@ def moments(a: np.ndarray) -> tuple[float, np.ndarray, float]:
     return mean, centred, float(np.mean(centred ** 2))
 
 
-def _quantize(a: np.ndarray, out=None) -> Raster:
+# Pixels per row strip (see :func:`row_strips`): 2**17 float64 samples are
+# 1 MiB, so a strip's operands and temporaries stay in a 2 MiB L2 cache.
+_STRIP_PIXELS = 1 << 17
+
+
+def row_strips(shape) -> list[slice]:
+    """Row slices that cover a plane of ``shape`` (height, width) in
+    order, each of at most ``_STRIP_PIXELS`` pixels and at least one row.
+
+    Elementwise chains run strip by strip, so their temporaries stay
+    strip-sized and in cache; an elementwise IEEE operation gives the same
+    bits on a slice as on the whole plane. Reductions stay whole-plane,
+    as their pairwise summation order fixes their bits.
+    """
+    height, width = shape
+    step = max(1, _STRIP_PIXELS // width)
+    return [slice(y, min(y + step, height)) for y in range(0, height, step)]
+
+
+def _clamp_round(a: np.ndarray, q: np.ndarray, out=None) -> None:
     """``a`` clamped to [0, 255] (into ``out`` if given), then rounded
-    half-up into a fresh uint8 array with the bits of ``floor(clip(a, 0,
+    half-up into the uint8 array ``q`` with the bits of ``floor(clip(a, 0,
     255) + 0.5)``: the cast truncates, which on [0.5, 255.5] is ``floor``."""
-    a = np.clip(a, 0.0, 255.0, out=out)
-    return Raster(np.add(a, 0.5, out=np.empty(a.shape, np.uint8), casting="unsafe"))
+    np.add(np.clip(a, 0.0, 255.0, out=out), 0.5, out=q, casting="unsafe")
+
+
+def quantize_rows(a: np.ndarray, q: np.ndarray) -> None:
+    """Round ``a``, a float64 array the caller owns and no longer needs,
+    into the uint8 array ``q`` of its shape: ``a`` is checked for
+    non-finite samples (ValueError as :class:`Raster` raises), then
+    clamped in its own buffer and rounded by the one clamp-and-round step."""
+    _require_finite(a)
+    _clamp_round(a, q, out=a)
+
+
+def _quantize(a: np.ndarray, step) -> Raster:
+    """``step(a[rows], q[rows])`` over the row strips of ``a`` into a fresh
+    uint8 array ``q``, wrapped as a Raster."""
+    q = np.empty(a.shape, np.uint8)
+    for rows in row_strips(a.shape):
+        step(a[rows], q[rows])
+    return Raster(q)
 
 
 def quantize_in_place(a: np.ndarray) -> Raster:
     """``a``, a 2-D float64 array the caller owns and no longer needs,
     clamped to [0, 255] in its own buffer and rounded half-up to the
-    integer DN grid (see :func:`dn8`). ``a`` is checked first, so a
-    non-finite sample raises ValueError as :class:`Raster` does rather
-    than being clamped into range."""
-    _require_finite(a)
-    return _quantize(a, out=a)
+    integer DN grid (see :func:`dn8`), strip by strip (see
+    :func:`quantize_rows`). Each strip is checked before it is clamped,
+    so a non-finite sample raises ValueError as :class:`Raster` does
+    rather than being clamped into range."""
+    return _quantize(a, quantize_rows)
 
 
 def clamp_quantize(r: Raster) -> Raster:
     """Clamp to [0, 255] and round half-up to the integer DN grid, with
     the bits of :func:`quantize_in_place` on a copy of ``r``'s samples
-    (checked for non-finite samples when ``r`` was built). A Raster on the
-    grid (see :func:`dn8`) is returned unchanged."""
-    return r if dn8(r) is not None else _quantize(r.samples)
+    (checked for non-finite samples when ``r`` was built); the copy is
+    one row strip at a time. A Raster on the grid (see :func:`dn8`) is
+    returned unchanged."""
+    return r if dn8(r) is not None else _quantize(r.samples, _clamp_round)

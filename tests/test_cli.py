@@ -199,10 +199,14 @@ class TestEvaluateCommand:
         assert not csv.exists()
 
     # os.fsdecode gives an undecodable command-line byte as a lone surrogate.
-    # LF, a C1 CSI and a line separator would reach stdout in the log line.
+    # LF, a C1 CSI and a line separator would reach stdout in the log line;
+    # a no-break space is no control character, but not printable either.
     @pytest.mark.parametrize(
         "pair_id",
-        ["a\x01b", "\x1f", "x\x0b", os.fsdecode(b"a\xffb"), "a\nb", "c\x9b2Jd", "a\u2028b"],
+        [
+            "a\x01b", "\x1f", "x\x0b", os.fsdecode(b"a\xffb"), "a\nb", "c\x9b2Jd", "a\u2028b",
+            "a\u00a0b",
+        ],
     )
     def test_control_character_in_pair_id_is_usage_error(self, pair_dir, capsys, pair_id):
         csv = pair_dir / "m.csv"
@@ -219,8 +223,8 @@ class TestEvaluateCommand:
         )
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "error: --pair-id must not contain control characters or undecodable bytes, "
-            f"got {pair_id!r}\n"
+            "error: --pair-id must be printable: no control, format or separator "
+            f"character but the space, and no undecodable byte, got {pair_id!r}\n"
         )
         assert not csv.exists()
 

@@ -253,10 +253,10 @@ def test_batch_on_a_mutated_manifest(inputs, data):
 POSIX = {"LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 
 
-def run_posix(argv, directory: Path) -> int:
+def run_posix(argv, directory: Path) -> tuple[int, bytes]:
     """``python -m panfuse.cli argv`` in ``directory`` under the POSIX
     locale with UTF-8 mode and locale coercion off; returns the exit code
-    after checking that stdout is ASCII, that no traceback is printed and
+    and stderr after checking that stdout is ASCII, that no traceback is printed and
     that an exit 2 prints exactly one ``error:`` line."""
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, **POSIX, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -268,24 +268,25 @@ def run_posix(argv, directory: Path) -> int:
     assert b"Traceback" not in done.stderr, done.stderr
     if done.returncode == EXIT_USAGE:
         assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1, done.stderr
-    return done.returncode
+    return done.returncode, done.stderr
 
 
-def posix_batch(root: Path, text: str) -> int:
+def posix_batch(root: Path, text: str) -> tuple[int, bytes]:
+    """The batch's exit code and stderr; an exit 2 must write nothing."""
     with tempfile.TemporaryDirectory(dir=root) as d:
         # One level down, so that an output_dir of ".." stays inside d.
         (Path(d) / "m").mkdir()
-        code = run_posix(batch_argv(Path(d) / "m", text), Path(d) / "m")
+        code, err = run_posix(batch_argv(Path(d) / "m", text), Path(d) / "m")
         assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
         if code == EXIT_USAGE:
             assert [p.name for p in Path(d).rglob("*")] == ["m", "manifest.json"]
-        return code
+        return code, err
 
 
 def posix_report(root: Path, body: bytes) -> int:
     with tempfile.TemporaryDirectory(dir=root) as d:
         (Path(d) / "m.csv").write_bytes(body)
-        code = run_posix(["report", "--csv", "m.csv", "--out", "charts"], Path(d))
+        code, _ = run_posix(["report", "--csv", "m.csv", "--out", "charts"], Path(d))
         assert code in (EXIT_OK, EXIT_USAGE)
         assert (Path(d) / "charts").exists() == (code == EXIT_OK)
         return code
@@ -313,7 +314,28 @@ def test_posix_locale_on_mutated_inputs(inputs, data):
 def test_posix_locale_batch_labels(inputs, key, label, code):
     root, manifest, _ = inputs
     pair = {**manifest["pairs"][0], key: label}
-    assert posix_batch(root, json.dumps({**manifest, "pairs": [pair]})) == code
+    assert posix_batch(root, json.dumps({**manifest, "pairs": [pair]}))[0] == code
+
+
+def test_posix_locale_output_dir_the_file_system_cannot_name(inputs):
+    root, manifest, _ = inputs
+    code, err = posix_batch(root, json.dumps({**manifest, "output_dir": "out\u00fc"}))
+    assert code == EXIT_USAGE
+    assert err.startswith(b"error: 'output_dir' cannot be encoded in the file system encoding")
+
+
+def test_posix_locale_input_the_file_system_cannot_name(inputs, tmp_path):
+    """An input that exists but whose name is not ASCII is reported as a
+    name the encoding cannot carry, not as a missing file."""
+    root, manifest, _ = inputs
+    ms = Path(manifest["pairs"][0]["ms_path"])
+    # Written through a bytes path, which any locale can carry.
+    with open(os.fsencode(tmp_path) + b"/\xc3\xbc.ppm", "wb") as f:
+        f.write(ms.read_bytes())
+    pair = {**manifest["pairs"][0], "ms_path": f"{tmp_path}/\u00fc.ppm"}
+    code, err = posix_batch(root, json.dumps({**manifest, "pairs": [pair]}))
+    assert code == EXIT_USAGE
+    assert err.startswith(b"error: pairs[0]: 'ms_path' cannot be encoded"), err
 
 
 @pytest.mark.parametrize(
