@@ -580,6 +580,9 @@ def main(argv=None) -> int:
     except _EXPECTED_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
+    except MemoryError as e:  # an image too big to allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 def entrypoint() -> None:

@@ -11,6 +11,9 @@ holds the largest window sum, 9 * 255 = 2295. Every partial
 sum, difference, minimum and maximum is then an exact integer, as it is
 in float64 on integral DN, so the results are the float path's bits at a
 quarter of the bytes per pixel. Any other Raster is filtered in float64.
+
+The replicate padding is done one row strip at a time, so a stencil's
+only whole planes are its input and its results.
 """
 
 from __future__ import annotations
@@ -25,25 +28,30 @@ __all__ = ["box_lpf", "unsharp_mask", "laplacian_hp"]
 def window3x3(x: np.ndarray, *reductions) -> list[np.ndarray]:
     """Reduce each 3x3 window of ``x`` under replicate padding, once per
     ufunc in ``reductions`` (``np.add``, ``np.minimum``, ``np.maximum``),
-    from one padded copy, into arrays of ``x``'s dtype. Each is taken
-    separably, one row strip (``raster.row_strips``) at a time, over three
-    row-shifted slices and then three column-shifted ones, as
+    into arrays of ``x``'s dtype, one row strip (``raster.row_strips``)
+    at a time. Each strip is copied into one padded buffer with a halo
+    row above and below, clamped at the plane's edges, so no padded plane
+    is made. Each reduction is taken separably over three row-shifted
+    slices of the buffer and then three column-shifted ones, as
     ``f(f(a, b), c)``. For ``np.add`` on integral DN every partial sum is
     an exact integer, so the order is immaterial; min and max are exact in
     any order.
     """
     h, w = x.shape
-    # Replicate padding by slice assignment, a fraction of np.pad's cost.
-    p = np.empty((h + 2, w + 2), x.dtype)
-    p[1:-1, 1:-1] = x
-    p[0, 1:-1], p[-1, 1:-1] = x[0], x[-1]
-    p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
     out = [np.empty((h, w), x.dtype) for _ in reductions]
-    for strip in row_strips((h, w)):
+    strips = row_strips((h, w))
+    padded = np.empty((strips[0].stop + 2, w + 2), x.dtype)
+    for strip in strips:
         top, end = strip.start, strip.stop
+        n = end - top
+        # Replicate padding by slice assignment, a fraction of np.pad's cost.
+        p = padded[:n + 2]
+        p[1:-1, 1:-1] = x[strip]
+        p[0, 1:-1], p[-1, 1:-1] = x[max(top - 1, 0)], x[min(end, h - 1)]
+        p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
         for f, plane in zip(reductions, out):
-            rows = f(p[top:end], p[top + 1:end + 1])
-            f(rows, p[top + 2:end + 2], out=rows)
+            rows = f(p[0:n], p[1:n + 1])
+            f(rows, p[2:n + 2], out=rows)
             window = f(rows[:, 0:w], rows[:, 1:w + 1], out=plane[strip])
             f(window, rows[:, 2:w + 2], out=window)
     return out
@@ -57,8 +65,11 @@ def stencil_input(r: Raster) -> np.ndarray:
 
 
 def box_lpf(r: Raster) -> Raster:
-    """Uniform 3x3 local average (the low-pass half of unsharp masking)."""
-    return Raster(window3x3(stencil_input(r), np.add)[0] / 9.0)
+    """Uniform 3x3 local average (the low-pass half of unsharp masking).
+    A float64 window sum is divided in place; an int16 one into a new
+    float64 array."""
+    total = window3x3(stencil_input(r), np.add)[0]
+    return Raster(np.divide(total, 9.0, out=total if total.dtype == np.float64 else None))
 
 
 def unsharp_mask(p: Raster) -> Raster:

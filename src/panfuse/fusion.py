@@ -51,15 +51,30 @@ _HFM_DENOM_FLOOR = 1e-9
 
 def _mean_std_map(src: np.ndarray, ref: np.ndarray):
     """The map :func:`match_mean_std` applies, as a function of a row
-    slice that returns those rows of its result as a fresh array; the
-    moments are taken once, on the whole planes."""
-    ref_mean, _, ref_var = moments(ref)
+    slice, or None for every row, that returns those rows of its result.
+
+    The moments are taken once, on the whole planes. Only the reference's
+    mean and variance are kept, so its centred plane is freed before the
+    source's is made. The map works in place in the source's centred
+    plane, which only it holds: it returns views of that plane, and each
+    row must be taken at most once.
+    """
+    ref_mean, ref_centred, ref_var = moments(ref)
+    del ref_centred
     _, centred, src_var = moments(src)
     src_std = math.sqrt(src_var)
     if src_std < _DEGENERATE_STD:
-        return lambda rows: np.full(centred[rows].shape, ref_mean)
+        centred.fill(ref_mean)
+        return lambda rows: centred if rows is None else centred[rows]
     scale = math.sqrt(ref_var) / src_std
-    return lambda rows: ref_mean + centred[rows] * scale
+
+    def apply(rows):
+        out = centred if rows is None else centred[rows]
+        out *= scale
+        out += ref_mean
+        return out
+
+    return apply
 
 
 def match_mean_std(src: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -67,9 +82,13 @@ def match_mean_std(src: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
     out = mean(ref) + (src - mean(src)) * std(ref) / std(src), both
     population moments. A source with std below 1e-9 is degenerate and
-    maps to the constant mean(ref).
+    maps to the constant mean(ref). The result is a new array: the
+    centred copy of ``src`` that the variance is taken on, scaled and
+    shifted in place. Besides it, the call allocates only the square each
+    variance takes and the reference's centred plane, freed before the
+    source's copy is made. ``src`` and ``ref`` are unchanged.
     """
-    return _mean_std_map(src, ref)(slice(None))
+    return _mean_std_map(src, ref)(None)
 
 
 def _product(ms: MultiBandImage, strip, quantize: bool) -> MultiBandImage:
@@ -107,8 +126,14 @@ def fuse_sf(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiB
     require_same_grid(ms, pan, "fuse_sf")
     planes = ihs_forward(ms)
     i_star = Raster(box_lpf(planes.i).samples + unsharp_mask(pan).samples)
-    i_new = Raster(match_mean_std(i_star.samples, planes.i.samples))
-    fused = ihs_inverse(planes.with_intensity(i_new))
+    # Each plane is dropped once it is dead: i_star and the forward
+    # intensity before the inverse, which then holds only the matched
+    # intensity, v1, v2 and its three outputs, and those inputs before
+    # quantizing.
+    planes = planes.with_intensity(Raster(match_mean_std(i_star.samples, planes.i.samples)))
+    del i_star
+    fused = ihs_inverse(planes)
+    del planes
     if not quantize:
         return fused
     return MultiBandImage(tuple(clamp_quantize(b) for b in fused.bands))

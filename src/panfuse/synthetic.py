@@ -86,10 +86,12 @@ def generate_pair(spec: SyntheticSpec, out_dir) -> tuple[Path, Path, Path]:
     """Write ms.ppm, pan.pgm and reference.ppm under ``out_dir``.
 
     Returns the three paths. Identical specs produce byte-identical files.
+    The pair is synthesized before ``out_dir`` is made, so a spec too big
+    to allocate (MemoryError) leaves no directory behind.
     """
+    ms, pan, reference = synthesize(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ms, pan, reference = synthesize(spec)
     ms_path = out / "ms.ppm"
     pan_path = out / "pan.pgm"
     reference_path = out / "reference.ppm"

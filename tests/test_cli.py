@@ -290,6 +290,35 @@ class TestGenSyntheticCommand:
         assert code == EXIT_USAGE
         assert "divisible" in capsys.readouterr().err
 
+    def test_image_too_big_to_allocate_is_one_error_line(self, tmp_path, capsys):
+        """400000x400000 float64 samples are 1.16 TiB. With the address
+        space capped far below that, numpy refuses the request before
+        allocating anything, however the host overcommits memory."""
+        resource = pytest.importorskip("resource")
+        out = tmp_path / "d"
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 64 << 30
+        if soft != resource.RLIM_INFINITY:
+            cap = min(cap, soft)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            code = main(
+                [
+                    "gen-synthetic",
+                    "--seed", "1",
+                    "--width", "400000",
+                    "--height", "400000",
+                    "--out", str(out),
+                ]
+            )
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and "1.16 TiB" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestManifestValidation:
     def error(self, tmp_path, payload, capsys):

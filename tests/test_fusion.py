@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panfuse.colorspace import HsvPlanes, hsv_forward, hsv_inverse, ihs_forward, ihs_inverse
 from panfuse.fusion import (
@@ -186,6 +187,33 @@ class TestMatchMeanStd:
         mean, std = mean_std_oracle(out)
         assert mean == pytest.approx(100.0, abs=1e-9)
         assert std == pytest.approx(30.0, abs=1e-9)
+
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+               elements=st.floats(-300.0, 300.0)),
+        arrays(np.float64, (2, 3), elements=st.floats(0.0, 255.0)),
+    )
+    @example(np.full((2, 2), 42.0), np.array([[45.0, 55.0, 50.0]] * 2))  # degenerate std
+    @example(np.array([[0.0, 1e-10]]), np.array([[0.0, 2.0, 4.0]] * 2))  # std 5e-11
+    @settings(deadline=None)
+    def test_bits_of_the_formula_written_out(self, src, ref):
+        """The map is scaled and shifted in place in a centred copy of
+        ``src``; it must keep the bits of the formula, return an array
+        of its own and leave both inputs unchanged."""
+        src_before, ref_before = src.copy(), ref.copy()
+        ref_mean = float(np.mean(ref))
+        ref_std = math.sqrt(float(np.mean((ref - ref_mean) ** 2)))
+        centred = src - float(np.mean(src))
+        src_std = math.sqrt(float(np.mean(centred ** 2)))
+        if src_std < 1e-9:
+            expected = np.full(src.shape, ref_mean)
+        else:
+            expected = ref_mean + centred * (ref_std / src_std)
+        out = match_mean_std(src, ref)
+        assert out.tobytes() == expected.tobytes()
+        assert out.flags.owndata
+        assert src.tobytes() == src_before.tobytes()
+        assert ref.tobytes() == ref_before.tobytes()
 
 
 def rvs_band(pan, band):

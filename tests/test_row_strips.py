@@ -4,7 +4,9 @@ Fusion products, quantization, the IHS transforms and the 3x3 stencils run
 one row strip (``raster.row_strips``) at a time. With the strip size cut
 to 7 pixels, every result must equal the one built in a single strip, on
 shapes of one row, one column, a ragged last strip and rows wider than a
-strip. Built strip by strip, a quantized product holds no float64 plane.
+strip. Built strip by strip, a quantized product holds no float64 plane,
+and SF, IHS, HSV, the stencils and ``synthesize`` drop each whole plane
+once it is dead.
 """
 
 import tracemalloc
@@ -14,8 +16,8 @@ import pytest
 
 from panfuse import raster
 from panfuse.colorspace import ihs_forward, ihs_inverse
-from panfuse.filtering import window3x3
-from panfuse.fusion import FUSION_METHODS, fuse_ef, fuse_hfa
+from panfuse.filtering import box_lpf, window3x3
+from panfuse.fusion import FUSION_METHODS, fuse_ef, fuse_hfa, fuse_hsv, fuse_ihs, fuse_sf
 from panfuse.raster import MultiBandImage, Raster, clamp_quantize, operand, row_strips, save_pnm
 from panfuse.synthetic import SyntheticSpec, synthesize
 
@@ -99,7 +101,9 @@ def test_quantize_save_and_ihs_transforms(monkeypatch, shape, tmp_path):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int16, np.uint8])
-@pytest.mark.parametrize("shape", SHAPES)
+# Two and three rows in one-row strips: each strip clamps its halo row
+# above, below or neither, where the one-row shape clamps both.
+@pytest.mark.parametrize("shape", SHAPES + [(2, 11), (3, 11)])
 def test_window3x3(monkeypatch, shape, dtype):
     rng = np.random.default_rng(7)
     x = rng.integers(0, 256, shape).astype(dtype)
@@ -123,17 +127,55 @@ def test_non_finite_sample_in_the_last_strip_is_rejected(monkeypatch, quantize):
             fuse_hfa(ms, Raster(spike), quantize=quantize)
 
 
+PEAK_SIZE = 512
+
+
+def peak_planes(call):
+    """``call()``'s result and the traced peak allocation while it runs,
+    in float64 planes of a PEAK_SIZE x PEAK_SIZE image."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / (PEAK_SIZE * PEAK_SIZE * 8)
+
+
 @pytest.mark.parametrize("method", [fuse_ef, fuse_hfa])
 def test_quantized_product_peak_stays_below_three_float64_planes(method):
     """Built whole, the three float64 bands and the detail plane are all
     alive at once; built strip by strip, only the detail plane is whole."""
-    ms, pan, _ = synthesize(SyntheticSpec(seed=4, width=512, height=512))
-    plane = 512 * 512 * 8
-    tracemalloc.start()
-    try:
-        fused = method(ms, pan)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ms, pan, _ = synthesize(SyntheticSpec(seed=4, width=PEAK_SIZE, height=PEAK_SIZE))
+    fused, peak = peak_planes(lambda: method(ms, pan))
     assert operand(fused.bands[0]).dtype == np.uint8
-    assert peak < 3 * plane, f"peak {peak / plane:.2f} float64 planes"
+    assert peak < 3, f"peak {peak:.2f} float64 planes"
+
+
+# Traced peaks in float64 planes of a 512x512 pair, with strips cut to 2**12
+# pixels so that their temporaries are negligible. Each plane is dropped
+# once it is dead: SF holds at most six (three float64 Rasters in, three
+# out), IHS and HSV take the reference's moments before the source's and
+# scale the source in its own centred copy, and a 3x3 stencil pads one
+# strip, not the plane.
+@pytest.mark.parametrize("method, bound", [(fuse_sf, 6.5), (fuse_ihs, 3.25), (fuse_hsv, 2.5)])
+def test_quantized_product_peak(monkeypatch, method, bound):
+    ms, pan, _ = synthesize(SyntheticSpec(seed=4, width=PEAK_SIZE, height=PEAK_SIZE))
+    monkeypatch.setattr(raster, "_STRIP_PIXELS", 1 << 12)
+    _, peak = peak_planes(lambda: method(ms, pan))
+    assert peak < bound, f"peak {peak:.2f} float64 planes"
+
+
+def test_stencil_and_synthesize_peaks(monkeypatch):
+    monkeypatch.setattr(raster, "_STRIP_PIXELS", 1 << 12)
+    rng = np.random.default_rng(4)
+    r = Raster(rng.uniform(0.0, 255.0, (PEAK_SIZE, PEAK_SIZE)))
+    calls = {
+        "box_lpf": (lambda: box_lpf(r), 1.25),
+        "window3x3": (lambda: window3x3(r.samples, np.add), 1.25),
+        "synthesize": (
+            lambda: synthesize(SyntheticSpec(seed=4, width=PEAK_SIZE, height=PEAK_SIZE)), 3.0
+        ),
+    }
+    peaks = {name: peak_planes(call)[1] for name, (call, _) in calls.items()}
+    assert {k: p for k, p in peaks.items() if p >= calls[k][1]} == {}
