@@ -24,7 +24,7 @@ from .fusion import METHOD_NAMES, fuse, normalize_method
 from .metrics import DEFAULT_CSA_PERCENTILE, MetricRecord, evaluate_all
 from .raster import MultiBandImage, Raster, load_pnm, resample_nearest, save_pnm
 from .report import (
-    plain_file_name, plain_int, read_csv, render_reports, repeated_rows, write_csv
+    plain_file_name, plain_int, read_csv, render_reports, repeated_rows, table_end, write_csv
 )
 from .synthetic import SyntheticSpec, generate_pair
 
@@ -99,7 +99,7 @@ _PAIR_KINDS = {
     for key, hint in get_type_hints(PairSpec).items()
     if type(None) in get_args(hint)
 }
-_KIND_NAMES = {float: "a number", str: "a printable string"}
+_KIND_NAMES = {float: "a positive number", str: "a printable string"}
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,10 @@ def _unique_keys(members: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _method(name: str) -> str:
+def _usage(f, *args, **kwargs):
+    """``f(*args, **kwargs)``; a ValueError from it becomes a UsageError (exit 2)."""
     try:
-        return normalize_method(name)
+        return f(*args, **kwargs)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -216,7 +217,7 @@ def load_manifest(path) -> BatchManifest:
     for m in raw["methods"]:
         if not isinstance(m, str):
             raise UsageError(f"'methods' entries must be strings, got {m!r}")
-        name = _method(m)
+        name = _usage(normalize_method, m)
         if name in methods:
             raise UsageError(f"duplicate method {name!r}")
         methods.append(name)
@@ -263,7 +264,7 @@ def load_manifest(path) -> BatchManifest:
             # Sensor names and locations reach the batch log: no terminal
             # escape sequence or lone surrogate, which stdout cannot encode.
             if kind is float:
-                ok = _is_real(value)
+                ok = _is_real(value) and value > 0
             else:
                 ok = isinstance(value, str) and value.isprintable()
             if value is not None and not ok:
@@ -418,7 +419,7 @@ def run_batch(manifest: BatchManifest) -> tuple[list, int]:
 
 
 def cmd_fuse(args) -> int:
-    method = _method(args.method)
+    method = _usage(normalize_method, args.method)
     ms = _as_multiband(load_pnm(args.ms))
     pan = _load_pan(args.pan)
     fused = fuse(method, ms, pan)
@@ -428,7 +429,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    method = _method(args.method)
+    method = _usage(normalize_method, args.method)
     percentile = _check_percentile(args.csa_percentile, "--csa-percentile")
     # Echoed to stdout: the printable rule of a manifest's labels.
     if not args.pair_id.isprintable():
@@ -436,6 +437,7 @@ def cmd_evaluate(args) -> int:
             "--pair-id must be printable: no control, format or separator "
             f"character but the space, and no undecodable byte, got {args.pair_id!r}"
         )
+    _usage(table_end, args.csv)  # before any work: a file that is no table stays as it is
     ms, pan = _load_pair(args.ms, args.pan)
     fused = _as_multiband(load_pnm(args.fused))
     records = evaluate_all(ms, pan, fused, args.pair_id, method, percentile)
@@ -456,16 +458,14 @@ def cmd_batch(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    try:
-        spec = SyntheticSpec(
-            seed=args.seed,
-            width=args.width,
-            height=args.height,
-            scale_factor=args.scale,
-            smoothing_passes=args.passes,
-        )
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    spec = _usage(
+        SyntheticSpec,
+        seed=args.seed,
+        width=args.width,
+        height=args.height,
+        scale_factor=args.scale,
+        smoothing_passes=args.passes,
+    )
     paths = generate_pair(spec, args.out)
     for p in paths:
         _echo(f"wrote {p}")
@@ -473,10 +473,7 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        records = read_csv(args.csv)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    records = _usage(read_csv, args.csv)
     repeated = repeated_rows(records)
     if repeated:
         print(

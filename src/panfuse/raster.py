@@ -3,11 +3,14 @@ quantization.
 
 Pixel data is carried as digital numbers (DN). A Raster built from uint8
 or int16 samples holds only that array (:func:`operand`) and derives its
-float64 samples on first read; any other Raster holds float64 samples.
+float64 samples afresh on every read, never keeping them; any other
+Raster holds float64 samples. Values derived from a Raster's samples are
+cached on it only through :func:`memoised`.
 Quantization to the 8-bit grid happens only through one clamp-and-round
-step, reached by :func:`quantize_rows` (and :func:`quantize_in_place`)
-and :func:`clamp_quantize`, which products pass through once, at the end
-of fusion or at save time, so fusion arithmetic never loses fractional
+step with two entry points: :func:`quantize_rows`, which rounds a fused
+strip in the caller's own buffer, and :func:`clamp_quantize`, which SF
+and :func:`save_pnm` use. Products pass through it once, at the end of
+fusion or at save time, so fusion arithmetic never loses fractional
 intermediates; each rounds straight into a fresh uint8 array, one row
 strip (:func:`row_strips`) at a time.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Hashable, Sequence, TypeVar, Union
+from typing import Callable, Hashable, TypeVar, Union
 
 import numpy as np
 
@@ -38,7 +41,6 @@ __all__ = [
     "save_pnm",
     "resample_nearest",
     "moments",
-    "quantize_in_place",
     "clamp_quantize",
 ]
 
@@ -52,7 +54,7 @@ class Raster:
     A C-contiguous float64, uint8 or int16 array that owns its data is
     frozen in place; anything else, a view of another array included, is
     copied first. A uint8 or int16 array is kept, and ``samples``, its
-    read-only float64 conversion, is made on first read and memoised.
+    read-only float64 conversion, is made afresh on every read.
     Other integer and bool arrays are converted to float64 once and not
     checked for non-finite samples, which they cannot hold; anything else
     is checked after its conversion (see :func:`_require_finite`).
@@ -79,14 +81,13 @@ class Raster:
         self.__dict__[_KEPT if kept else "samples"] = a
 
     def __getattr__(self, name):
-        # Reached for "samples" only before the first read of a uint8 or
-        # int16 Raster's float64 samples; memoised under memoised's thread rule.
+        # Reached for "samples" of a uint8 or int16 Raster, which keeps no float64 copy.
         kept = self.__dict__.get(_KEPT)
         if name != "samples" or kept is None:
             raise AttributeError(name)
         samples = kept.astype(np.float64)
         samples.flags.writeable = False
-        return self.__dict__.setdefault("samples", samples)
+        return samples
 
     @property
     def width(self) -> int:
@@ -95,14 +96,6 @@ class Raster:
     @property
     def height(self) -> int:
         return operand(self).shape[0]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Raster":
-        return cls(np.array(rows, dtype=np.float64))
-
-    @classmethod
-    def constant(cls, width: int, height: int, value: float) -> "Raster":
-        return cls(np.full((height, width), value, dtype=np.float64))
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -444,29 +437,16 @@ def quantize_rows(a: np.ndarray, q: np.ndarray) -> None:
     _clamp_round(a, q, out=a)
 
 
-def _quantize(a: np.ndarray, step) -> Raster:
-    """``step(a[rows], q[rows])`` over the row strips of ``a`` into a fresh
-    uint8 array ``q``, wrapped as a Raster."""
-    q = np.empty(a.shape, np.uint8)
-    for rows in row_strips(a.shape):
-        step(a[rows], q[rows])
-    return Raster(q)
-
-
-def quantize_in_place(a: np.ndarray) -> Raster:
-    """``a``, a 2-D float64 array the caller owns and no longer needs,
-    clamped to [0, 255] in its own buffer and rounded half-up to the
-    integer DN grid (see :func:`dn8`), strip by strip (see
-    :func:`quantize_rows`). Each strip is checked before it is clamped,
-    so a non-finite sample raises ValueError as :class:`Raster` does
-    rather than being clamped into range."""
-    return _quantize(a, quantize_rows)
-
-
 def clamp_quantize(r: Raster) -> Raster:
     """Clamp to [0, 255] and round half-up to the integer DN grid, with
-    the bits of :func:`quantize_in_place` on a copy of ``r``'s samples
-    (checked for non-finite samples when ``r`` was built); the copy is
-    one row strip at a time. A Raster on the grid (see :func:`dn8`) is
-    returned unchanged."""
-    return r if dn8(r) is not None else _quantize(r.samples, _clamp_round)
+    the bits of :func:`quantize_rows`, into a fresh uint8 array one row
+    strip at a time; ``r``'s samples, checked for non-finite values when
+    ``r`` was built, are left as they are. A Raster on the grid (see
+    :func:`dn8`) is returned unchanged."""
+    if dn8(r) is not None:
+        return r
+    a = r.samples
+    q = np.empty(a.shape, np.uint8)
+    for rows in row_strips(a.shape):
+        _clamp_round(a[rows], q[rows])
+    return Raster(q)

@@ -23,6 +23,7 @@ __all__ = [
     "plain_file_name",
     "plain_int",
     "xml_text",
+    "table_end",
     "write_csv",
     "read_csv",
     "repeated_rows",
@@ -113,16 +114,50 @@ def _unchartable(r: MetricRecord) -> str | None:
     return None
 
 
-def write_csv(records: list[MetricRecord], path, append: bool = False) -> None:
-    """Write records as CSV, one column per ``MetricRecord`` field; the
-    header is emitted unless appending to a non-empty file."""
+def _rows(fh):
+    """The non-empty rows of the CSV text ``fh`` after its header, each
+    with its line number. Raises ValueError if the header is missing or
+    is not :data:`CSV_HEADER`, or for bad CSV syntax, naming the line."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("no records: empty CSV")
+        if tuple(header) != CSV_HEADER:
+            raise ValueError(f"line 1: bad header {header!r}, expected {','.join(CSV_HEADER)}")
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as e:
+        raise ValueError(f"line {reader.line_num}: {e}") from None
+
+
+def table_end(path) -> bytes:
+    """The last byte of the metric table ``path`` that rows are appended
+    to, or b"" if there is no such file or it is empty. Raises ValueError,
+    with :func:`read_csv`'s message, if its first line is not the header
+    or its first rows are not UTF-8 CSV."""
     p = Path(path)
-    need_header = not (append and p.exists() and p.stat().st_size > 0)
-    mode = "a" if append else "w"
-    with p.open(mode, encoding="utf-8", newline="") as fh:
+    if not p.exists() or p.stat().st_size == 0:
+        return b""
+    with p.open(encoding="utf-8", newline="") as fh:
+        next(_rows(fh), None)
+        fh.buffer.seek(-1, 2)
+        return fh.buffer.read(1)
+
+
+def write_csv(records: list[MetricRecord], path, append: bool = False) -> None:
+    """Write records as CSV, one column per ``MetricRecord`` field. When
+    appending to a table (see :func:`table_end`, whose ValueError leaves
+    the file unchanged), only the rows are written, after a line break if
+    the file does not end in one; else the header comes first."""
+    end = table_end(path) if append else b""
+    with Path(path).open("a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, CSV_HEADER, lineterminator="\n")
-        if need_header:
+        if not end:
             writer.writeheader()
+        elif end != b"\n":
+            fh.write("\n")
         for r in records:
             # csv writes a Python float as its repr.
             writer.writerow({**vars(r), "value": float(r.value)})
@@ -140,42 +175,28 @@ def read_csv(path) -> list[MetricRecord]:
             its ``value`` text is not ASCII without ``_`` or whitespace, or
             no chart can carry it (see :func:`render_reports`).
     """
+    records: list[MetricRecord] = []
     with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError("no records: empty CSV")
-            if tuple(header) != CSV_HEADER:
+        for line, row in _rows(fh):
+            if len(row) != len(CSV_HEADER):
                 raise ValueError(
-                    f"line 1: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+                    f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
                 )
-            records: list[MetricRecord] = []
-            for row in reader:
-                line = reader.line_num
-                if not row:
-                    continue
-                if len(row) != len(CSV_HEADER):
-                    raise ValueError(
-                        f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-                    )
-                pair_id, method, band, metric, value_s, excluded_s = row
-                # A band is "avg" or a 1-based index: with no leading zero,
-                # "1" is its only key.
-                if band != "avg" and (band.startswith("0") or plain_int(band) is None):
-                    raise ValueError(f"line {line}: bad band {band!r}")
-                excluded = plain_int(excluded_s)
-                if excluded is None:
-                    raise ValueError(f"line {line}: bad excluded_pixels {excluded_s!r}")
-                record = MetricRecord(
-                    pair_id, method, band, metric, _float_text(value_s), excluded
-                )
-                bad = _unchartable(record)
-                if bad is not None:
-                    raise ValueError(f"line {line}: bad {bad} {row[CSV_HEADER.index(bad)]!r}")
-                records.append(record)
-        except csv.Error as e:
-            raise ValueError(f"line {reader.line_num}: {e}") from None
+            pair_id, method, band, metric, value_s, excluded_s = row
+            # A band is "avg" or a 1-based index: with no leading zero,
+            # "1" is its only key.
+            if band != "avg" and (band.startswith("0") or plain_int(band) is None):
+                raise ValueError(f"line {line}: bad band {band!r}")
+            excluded = plain_int(excluded_s)
+            if excluded is None:
+                raise ValueError(f"line {line}: bad excluded_pixels {excluded_s!r}")
+            record = MetricRecord(
+                pair_id, method, band, metric, _float_text(value_s), excluded
+            )
+            bad = _unchartable(record)
+            if bad is not None:
+                raise ValueError(f"line {line}: bad {bad} {row[CSV_HEADER.index(bad)]!r}")
+            records.append(record)
     if not records:
         raise ValueError("no records: CSV has a header but no rows")
     return records

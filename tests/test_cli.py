@@ -17,7 +17,7 @@ from panfuse.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, load_manifest, main
 from panfuse.fusion import METHOD_NAMES, fuse
 from panfuse.metrics import METRIC_ORDER, evaluate_all
 from panfuse.raster import MultiBandImage, Raster, dn8, load_pnm, save_pnm
-from panfuse.report import read_csv
+from panfuse.report import CSV_HEADER, read_csv
 from panfuse.synthetic import SyntheticSpec, generate_pair
 
 ROWS_PER_PRODUCT = len(METRIC_ORDER) * 4  # 3 bands + the avg row
@@ -178,6 +178,37 @@ class TestEvaluateCommand:
         text = csv.read_text(encoding="utf-8")
         assert text.count("pair_id,method,band,metric,value,excluded_pixels") == 1
         assert len(read_csv(csv)) == 2 * ROWS_PER_PRODUCT
+
+    def test_append_to_a_file_that_is_not_a_metric_table(self, pair_dir, capsys, monkeypatch):
+        """Exit 2 with read_csv's message; the file is left as it is, and
+        nothing is scored."""
+        csv = pair_dir / "m.csv"
+        csv.write_bytes(b"name,score\nalice,3\n")
+        monkeypatch.setattr(cli, "evaluate_all", None)
+        code = main(
+            [
+                "evaluate",
+                "--ms", str(pair_dir / "ms.ppm"),
+                "--pan", str(pair_dir / "pan.pgm"),
+                "--fused", str(pair_dir / "ms.ppm"),
+                "--pair-id", "demo",
+                "--method", "sf",
+                "--csv", str(csv),
+            ]
+        )
+        assert code == EXIT_USAGE
+        with pytest.raises(ValueError, match=r"^line 1: bad header \['name', 'score'\]") as e:
+            read_csv(csv)
+        assert capsys.readouterr().err == f"error: {e.value}\n"
+        assert csv.read_bytes() == b"name,score\nalice,3\n"
+
+    def test_append_after_a_header_with_no_final_newline(self, pair_dir, capsys):
+        csv = pair_dir / "m.csv"
+        header = ",".join(CSV_HEADER)
+        csv.write_text(header, encoding="utf-8")
+        assert self.evaluate(pair_dir, pair_dir / "ms.ppm", csv, capsys) == EXIT_OK
+        assert csv.read_text(encoding="utf-8").startswith(header + "\ndemo,SF,1,")
+        assert len(read_csv(csv)) == ROWS_PER_PRODUCT
 
     @pytest.mark.parametrize("percentile", ["150", "100", "0", "-1", "nan"])
     def test_csa_percentile_out_of_range_is_usage_error(self, pair_dir, capsys, percentile):
@@ -495,6 +526,12 @@ class TestManifestValidation:
             ("location", 7),
             ("ms_sensor", ["A"]),
             pytest.param("ms_resolution_m", 10**400, id="ms_resolution_m-10**400"),
+            # Ground resolutions are finite and greater than zero.
+            ("ms_resolution_m", -2.8),
+            ("pan_resolution_m", -5),
+            ("ms_resolution_m", 0),
+            ("pan_resolution_m", 0.0),
+            pytest.param("pan_resolution_m", -0.0, id="pan_resolution_m-negative-zero"),
             # Labels reach the batch log: a terminal escape sequence, a lone
             # surrogate that stdout cannot encode, other non-printables.
             pytest.param("location", "\u001b[2Jcleared", id="location-ansi-clear-screen"),

@@ -137,7 +137,7 @@ class TestIhsPlanes:
 
     def test_substitution_shares_chromatic_planes(self):
         planes = ihs_forward(seeded_rgb(4, 4, 5))
-        swapped = planes.with_intensity(Raster.constant(4, 4, 10.0))
+        swapped = planes.with_intensity(Raster(np.full((4, 4), 10.0)))
         assert swapped.v1 is planes.v1
         assert swapped.v2 is planes.v2
 

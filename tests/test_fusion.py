@@ -161,7 +161,7 @@ def bands_equal(img: MultiBandImage, other: MultiBandImage) -> bool:
 
 
 def constant_ms(w, h, values=(40.0, 90.0, 200.0)):
-    return MultiBandImage(tuple(Raster.constant(w, h, v) for v in values))
+    return MultiBandImage(tuple(Raster(np.full((h, w), v)) for v in values))
 
 
 class TestMatchMeanStd:
@@ -232,7 +232,7 @@ class TestFitBandRegression:
         assert np.allclose(rvs_band(p, m), 5.0 + 2.0 * p.samples, rtol=0, atol=1e-9)
 
     def test_constant_pan_degenerates(self):
-        p = Raster.constant(4, 4, 9.0)
+        p = Raster(np.full((4, 4), 9.0))
         m = Raster(np.arange(16, dtype=np.float64).reshape(4, 4))
         assert np.all(rvs_band(p, m) == 7.5)  # slope 0, intercept the band mean
 
@@ -254,7 +254,7 @@ class TestFuseSf:
 
     def test_constant_pair_passthrough(self):
         ms = constant_ms(6, 6)
-        pan = Raster.constant(6, 6, 120.0)
+        pan = Raster(np.full((6, 6), 120.0))
         assert bands_equal(fuse_sf(ms, pan), ms)
 
     def test_matches_straight_line_oracle(self):
@@ -433,7 +433,7 @@ class TestClosedFormsMatchTransforms:
 class TestFuseHfa:
     def test_constant_pan_passthrough(self):
         ms, _ = synthetic_pair(4, size=16)
-        assert bands_equal(fuse_hfa(ms, Raster.constant(16, 16, 99.0)), ms)
+        assert bands_equal(fuse_hfa(ms, Raster(np.full((16, 16), 99.0))), ms)
 
     def test_adds_pan_detail_per_band(self):
         ms = constant_ms(8, 4, (10.0, 50.0, 90.0))
@@ -459,15 +459,15 @@ class TestFuseHfa:
             assert np.allclose(fused.samples, x.samples + y.samples, atol=1e-9)
 
     def test_accepts_any_band_count(self):
-        one = MultiBandImage((Raster.constant(4, 4, 10.0),))
-        out = fuse_hfa(one, Raster.constant(4, 4, 10.0))
+        one = MultiBandImage((Raster(np.full((4, 4), 10.0)),))
+        out = fuse_hfa(one, Raster(np.full((4, 4), 10.0)))
         assert out.band_count == 1
 
 
 class TestFuseHfm:
     def test_constant_positive_pan_passthrough(self):
         ms, _ = synthetic_pair(5, size=16)
-        assert bands_equal(fuse_hfm(ms, Raster.constant(16, 16, 64.0)), ms)
+        assert bands_equal(fuse_hfm(ms, Raster(np.full((16, 16), 64.0))), ms)
 
     def test_ratio_formula(self):
         _, pan = synthetic_pair(15, size=16)
@@ -503,7 +503,7 @@ class TestFuseRvs:
 
     def test_constant_pan_gives_band_means(self):
         ms, _ = synthetic_pair(6, size=16)
-        out = fuse_rvs(ms, Raster.constant(16, 16, 50.0), quantize=False)
+        out = fuse_rvs(ms, Raster(np.full((16, 16), 50.0)), quantize=False)
         for fused, band in zip(out.bands, ms.bands):
             assert np.allclose(fused.samples, np.mean(band.samples), atol=1e-12)
 
@@ -527,7 +527,7 @@ class TestFuseRvs:
 class TestFuseEf:
     def test_constant_pan_passthrough(self):
         ms, _ = synthetic_pair(7, size=16)
-        assert bands_equal(fuse_ef(ms, Raster.constant(16, 16, 10.0)), ms)
+        assert bands_equal(fuse_ef(ms, Raster(np.full((16, 16), 10.0))), ms)
 
     def test_impulse_response(self):
         ms = constant_ms(5, 5, (100.0, 100.0, 100.0))
@@ -559,7 +559,7 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown method"):
             normalize_method("WT")
         with pytest.raises(ValueError, match="SF, IHS, HSV"):
-            fuse("WT", constant_ms(2, 2), Raster.constant(2, 2, 0.0))
+            fuse("WT", constant_ms(2, 2), Raster(np.full((2, 2), 0.0)))
 
     def test_dispatch_equals_direct_call(self):
         ms, pan = synthetic_pair(19, size=16)
@@ -614,7 +614,7 @@ class TestInPlaceQuantize:
                 assert not any(np.shares_memory(band.samples, r.samples) for r in rasters)
 
     def test_overflowing_product_is_rejected_not_clamped(self):
-        ms = MultiBandImage((Raster.constant(5, 5, 1.7e308),))
+        ms = MultiBandImage((Raster(np.full((5, 5), 1.7e308)),))
         spike = np.zeros((5, 5))
         spike[2, 2] = 1e308
         with np.errstate(over="ignore"):
@@ -626,7 +626,7 @@ class TestSelfFusionAcrossMethods:
     def test_no_detail_in_means_no_detail_out(self):
         ms, _ = synthetic_pair(21, size=16)
         quantized = MultiBandImage(tuple(clamp_quantize(b) for b in ms.bands))
-        constant = Raster.constant(16, 16, 75.0)
+        constant = Raster(np.full((16, 16), 75.0))
         cases = [
             fuse_sf(ms, Raster(ihs_forward(ms).i.samples.copy())),
             fuse_ihs(ms, Raster(ihs_forward(ms).i.samples.copy())),

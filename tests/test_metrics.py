@@ -219,7 +219,7 @@ class TestPearson:
 
     def test_zero_variance_errors(self):
         a = seeded(4, 4, 12)
-        flat = Raster.constant(4, 4, 5.0)
+        flat = Raster(np.full((4, 4), 5.0))
         with pytest.raises(ValueError, match="undefined correlation"):
             pearson(a, flat)
         with pytest.raises(ValueError, match="undefined correlation"):
@@ -239,7 +239,7 @@ class TestFcc:
     def test_constant_band_errors(self):
         pan = seeded(8, 8, 16)
         with pytest.raises(ValueError, match="undefined correlation"):
-            fcc(Raster.constant(8, 8, 40.0), pan)
+            fcc(Raster(np.full((8, 8), 40.0)), pan)
 
     def test_matches_compose_and_correlate_oracle(self):
         band = seeded(8, 8, 17)
@@ -267,7 +267,7 @@ class TestFccMemo:
 
     def test_zero_variance_pan_fails_on_every_call(self):
         band = seeded(8, 8, 54)
-        pan = Raster.constant(8, 8, 100.0)
+        pan = Raster(np.full((8, 8), 100.0))
         for _ in range(3):
             with pytest.raises(ValueError, match="undefined correlation"):
                 fcc(band, pan)
@@ -313,7 +313,7 @@ class TestHpdi:
 
     def test_constant_band_against_seeded_pan(self):
         pan = seeded(8, 8, 22, lo=1.0)
-        flat = Raster.constant(8, 8, 50.0)
+        flat = Raster(np.full((8, 8), 50.0))
         value, _ = hpdi(flat, pan)
         want, _ = hpdi_oracle(flat.samples, pan.samples)
         assert value == pytest.approx(want, rel=1e-12)
@@ -341,7 +341,7 @@ class TestHpdi:
 class TestCsa:
     def test_constant_band_gives_zero_contrast(self):
         pan = seeded(8, 8, 27)
-        edge, homog = csa(Raster.constant(8, 8, 90.0), pan)
+        edge, homog = csa(Raster(np.full((8, 8), 90.0)), pan)
         assert (edge, homog) == (0.0, 0.0)
 
     def test_checkerboard_contrast_is_one(self):
@@ -355,7 +355,7 @@ class TestCsa:
     def test_degenerate_pan_errors(self):
         band = seeded(8, 8, 29)
         with pytest.raises(ValueError, match="class empty"):
-            csa(band, Raster.constant(8, 8, 100.0))
+            csa(band, Raster(np.full((8, 8), 100.0)))
 
     def test_matches_classify_then_average_oracle(self):
         band = seeded(8, 8, 30)
@@ -384,7 +384,7 @@ class TestCsaMemo:
 
     def test_degenerate_pan_fails_on_every_call(self):
         band = seeded(8, 8, 42)
-        pan = Raster.constant(8, 8, 100.0)
+        pan = Raster(np.full((8, 8), 100.0))
         for _ in range(3):
             with pytest.raises(ValueError, match="class empty"):
                 csa(band, pan)

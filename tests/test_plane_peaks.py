@@ -14,5 +14,5 @@ def test_prints_one_line_per_method_and_synthesize(capsys):
     spec.loader.exec_module(tool)
     assert tool.main(["32"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[1] for line in lines] == [*METHOD_NAMES, "synthesize"]
+    assert [line.split()[1] for line in lines] == [*METHOD_NAMES, "synthesize", "evaluate_all"]
     assert all(float(line.split()[0]) > 0 for line in lines)

@@ -20,6 +20,7 @@ from panfuse.raster import (
     dn8,
     load_pnm,
     moments,
+    operand,
     resample_nearest,
     save_pnm,
 )
@@ -55,7 +56,7 @@ def small_rasters():
                 )
             )
         )
-        .map(Raster.from_rows)
+        .map(lambda rows: Raster(np.array(rows, dtype=np.float64)))
     )
 
 
@@ -132,12 +133,21 @@ class TestRaster:
         with pytest.raises(ValueError, match=r"raster dimensions must be >= 1, got \("):
             Raster(np.zeros(shape))
 
-    def test_constant_and_from_rows(self):
-        c = Raster.constant(3, 2, 7.5)
-        assert c.samples.shape == (2, 3)
-        assert np.all(c.samples == 7.5)
-        r = Raster.from_rows([[1, 2], [3, 4]])
-        assert r.samples[1, 0] == 3.0
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[0, 7, 255]], dtype=np.uint8), np.array([[-300, 0, 300]], dtype=np.int16)],
+        ids=["uint8", "int16"],
+    )
+    def test_integer_raster_keeps_no_float64_samples(self, a):
+        r = Raster(a)
+        kept = operand(r)
+        first = r.samples
+        assert "samples" not in vars(r)
+        second = r.samples
+        assert second is not first
+        assert np.array_equal(second, first) and second.dtype == np.float64
+        assert operand(r) is kept and kept.dtype == a.dtype
+        assert np.array_equal(kept, a)
 
 
 class TestMultiBandImage:
@@ -238,7 +248,7 @@ class TestBandStats:
     samples, variance)."""
 
     def test_constant(self):
-        mean, centred, variance = moments(Raster.constant(4, 4, 9.0).samples)
+        mean, centred, variance = moments(Raster(np.full((4, 4), 9.0)).samples)
         assert (mean, variance) == (9.0, 0.0)
         assert np.array_equal(centred, np.zeros((4, 4)))
 

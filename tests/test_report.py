@@ -100,6 +100,22 @@ class TestCsvRoundTrip:
         assert sum(1 for line in lines if line.startswith("pair_id")) == 1
         assert len(read_csv(path)) == 4
 
+    @pytest.mark.parametrize("text", [b"name,score\nalice,3\n", b"\n", b"\xff\n"])
+    def test_append_leaves_a_file_that_is_not_a_table_unchanged(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError):
+            write_csv(SAMPLE, path, append=True)
+        assert path.read_bytes() == text
+
+    @pytest.mark.parametrize("end", ["", "\r"])
+    def test_append_ends_an_unterminated_last_line(self, tmp_path, end):
+        path = tmp_path / "m.csv"
+        write_csv(SAMPLE[:1], path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n") + end.encode())
+        write_csv(SAMPLE[1:3], path, append=True)
+        assert [r.value for r in read_csv(path)] == [r.value for r in SAMPLE[:3]]
+
     def test_rewrite_truncates(self, tmp_path):
         path = tmp_path / "m.csv"
         write_csv(SAMPLE, path)

@@ -118,7 +118,7 @@ def test_window3x3(monkeypatch, shape, dtype):
 @pytest.mark.parametrize("quantize", [True, False])
 def test_non_finite_sample_in_the_last_strip_is_rejected(monkeypatch, quantize):
     monkeypatch.setattr(raster, "_STRIP_PIXELS", TINY)
-    ms = MultiBandImage((Raster.constant(1, 23, 1.7e308),))
+    ms = MultiBandImage((Raster(np.full((23, 1), 1.7e308)),))
     spike = np.zeros((23, 1))
     spike[-1, 0] = 1e308  # its detail overflows row 22, in rows 21-22
     assert row_strips(spike.shape)[-1] == slice(21, 23)

@@ -5,7 +5,8 @@ Usage: python tools/plane_peaks.py [SIZE]
 For each of the seven methods, synthesizes a SIZE x SIZE pair (default
 1024; a multiple of 4) with ``panfuse.synthesize`` and traces one
 ``panfuse.fuse`` call on it with ``tracemalloc``; then traces one
-``synthesize`` call itself. Prints ``<planes> <name>`` for each, where
+``synthesize`` call itself, and one ``evaluate_all`` of an SF product
+fused, untraced, on a freshly synthesized pair. Prints ``<planes> <name>`` for each, where
 ``<planes>`` is the traced peak divided by SIZE * SIZE * 8 bytes, the
 size of one float64 plane. The peak includes the result, which is held
 until tracing stops. Each method gets a pair of its own, so nothing one
@@ -17,7 +18,7 @@ from __future__ import annotations
 import sys
 import tracemalloc
 
-from panfuse import SyntheticSpec, fuse, synthesize
+from panfuse import SyntheticSpec, evaluate_all, fuse, synthesize
 from panfuse.fusion import METHOD_NAMES
 
 
@@ -41,6 +42,10 @@ def main(argv: list[str]) -> int:
         peak = traced_peak(lambda: fuse(method, ms, pan))
         print(f"{peak / plane:6.2f} {method}")
     print(f"{traced_peak(lambda: synthesize(spec)) / plane:6.2f} synthesize")
+    ms, pan, _ = synthesize(spec)
+    product = fuse("SF", ms, pan)
+    peak = traced_peak(lambda: evaluate_all(ms, pan, product, "p", "SF"))
+    print(f"{peak / plane:6.2f} evaluate_all")
     return 0
 
 
