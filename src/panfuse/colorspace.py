@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import MultiBandImage, Raster, operand, row_strips
+from .raster import MultiBandImage, Raster, row_strips
 
 __all__ = [
     "IhsPlanes",
@@ -74,10 +74,10 @@ class HsvPlanes:
 
 
 def _require_rgb(image: MultiBandImage, op: str) -> tuple:
-    """The bands' arrays by ``raster.operand``: uint8 for 8-bit bands."""
+    """The bands' ``Raster.array``: uint8 for 8-bit bands."""
     if image.band_count != 3:
         raise ValueError(f"{op} requires exactly 3 bands, got {image.band_count}")
-    return tuple(operand(b) for b in image.bands)
+    return tuple(b.array for b in image.bands)
 
 
 def intensity(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .raster import Raster, dn8, memoised, operand, row_strips
+from .raster import Raster, dn8, memoised, row_strips
 
 __all__ = ["box_lpf", "unsharp_mask", "laplacian_hp"]
 
@@ -74,7 +74,7 @@ def box_lpf(r: Raster) -> Raster:
 
 def unsharp_mask(p: Raster) -> Raster:
     """High-frequency plane p - box_lpf(p); zero on constant images."""
-    return Raster(operand(p) - box_lpf(p).samples)
+    return Raster(p.array - box_lpf(p).samples)
 
 
 def laplacian_hp(r: Raster) -> Raster:

@@ -23,7 +23,6 @@ from .raster import (
     Raster,
     clamp_quantize,
     moments,
-    operand,
     quantize_rows,
     require_same_grid,
     resample_nearest,
@@ -148,7 +147,7 @@ def fuse_ihs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     require_same_grid(ms, pan, "fuse_ihs")
     bands = _require_rgb(ms, "fuse_ihs")
     i = intensity(*bands)
-    matched = _mean_std_map(operand(pan), i)
+    matched = _mean_std_map(pan.array, i)
 
     def strip(rows):
         delta = matched(rows)
@@ -172,7 +171,7 @@ def fuse_hsv(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     if min(float(b.min()) for b in bands) < 0.0:
         raise ValueError("fuse_hsv requires non-negative MS samples (hexcone domain)")
     v = np.maximum(np.maximum(bands[0], bands[1]), bands[2])
-    matched = _mean_std_map(operand(pan), v)
+    matched = _mean_std_map(pan.array, v)
 
     def strip(rows):
         v_new = np.clip(matched(rows), 0.0, 255.0)
@@ -193,7 +192,7 @@ def fuse_hfa(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     """High-frequency addition: each band gets PAN's unsharp-mask plane."""
     require_same_grid(ms, pan, "fuse_hfa")
     detail = unsharp_mask(pan).samples
-    bands = [operand(b) for b in ms.bands]
+    bands = [b.array for b in ms.bands]
     return _product(ms, lambda rows: (b[rows] + detail[rows] for b in bands), quantize)
 
 
@@ -205,8 +204,8 @@ def fuse_hfm(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     """
     require_same_grid(ms, pan, "fuse_hfm")
     lpf = box_lpf(pan).samples
-    p = operand(pan)
-    bands = [operand(b) for b in ms.bands]
+    p = pan.array
+    bands = [b.array for b in ms.bands]
 
     def strip(rows):
         low = lpf[rows]
@@ -223,12 +222,12 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     bands. A constant PAN (zero range) gives each band its mean, slope 0.
     """
     require_same_grid(ms, pan, "fuse_rvs")
-    p = operand(pan)
+    p = pan.array
     constant = np.ptp(p) == 0.0
     p_mean, dp, p_var = moments(p)
     lines = []
     for b in ms.bands:
-        m = operand(b)
+        m = b.array
         m_mean = np.mean(m)
         slope = 0.0 if constant else float(np.mean(dp * (m - m_mean)) / p_var)
         lines.append((float(m_mean - slope * p_mean), slope))
@@ -238,8 +237,8 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
 def fuse_ef(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiBandImage:
     """Edge fusion: each band gets PAN's Laplacian high-pass plane."""
     require_same_grid(ms, pan, "fuse_ef")
-    edges = operand(laplacian_hp(pan))
-    bands = [operand(b) for b in ms.bands]
+    edges = laplacian_hp(pan).array
+    bands = [b.array for b in ms.bands]
     return _product(
         ms, lambda rows: (np.add(b[rows], edges[rows], dtype=np.float64) for b in bands), quantize
     )

@@ -8,8 +8,8 @@ reported as the +infinity sentinel.
 
 DI, SNR and NRMSE have one implementation, :func:`_spectral`, which the
 public ``deviation_index``, ``snr`` and ``nrmse`` and ``evaluate_all``
-all read: one difference ``f - m`` of the bands' operands
-(``raster.operand``) shared between the three.
+all read: one difference ``f - m`` of the bands' arrays
+(``Raster.array``) shared between the three.
 On the 8-bit grid (:func:`_exact`) it is int16, the sums of squares are
 exact integers, and the spatial metrics read int16 Laplacians: every
 metric has the bits it has on float64 copies of the same bands.
@@ -30,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .filtering import laplacian_hp, window3x3
-from .raster import MultiBandImage, Raster, dn8, memoised, moments, operand, require_same_grid
+from .raster import MultiBandImage, Raster, dn8, memoised, moments, require_same_grid
 
 __all__ = [
     "MetricRecord",
@@ -77,7 +77,7 @@ def _mean_ratio(num: np.ndarray, den: Raster, what: str) -> tuple[float, int]:
     ``num`` is float64 and else into one fresh float64 array: the same
     elements in the same order as the compacted path, so ``np.mean``
     gives the same bits without the mask copies."""
-    d = operand(den)
+    d = den.array
     excluded = int(d.size - np.count_nonzero(d))
     if excluded == d.size:
         raise ValueError(f"undefined {what} is zero everywhere")
@@ -88,18 +88,18 @@ def _mean_ratio(num: np.ndarray, den: Raster, what: str) -> tuple[float, int]:
 
 
 def _exact(f: Raster, m: Raster) -> bool:
-    """Whether ``f - m`` and the sums of squares of ``f`` and ``f - m``
-    are taken in integers: true when both carry uint8 samples."""
+    """Whether ``f - m`` is taken in int16, so that its sum of squares is
+    an integer one: true when both carry uint8 samples."""
     return dn8(f) is not None and dn8(m) is not None
 
 
-def _sum_squares(a: np.ndarray, exact: bool) -> float:
-    """The sum of ``a ** 2``. When ``exact`` (see :func:`_exact`), ``a``
-    holds uint8 samples or their int16 difference, and the sum is taken
-    in int64; below 2**53, which a band of under 1.38e11 pixels stays,
-    that is the value ``np.sum`` gives in float64 in any order.
-    Otherwise it is ``np.sum`` of the float64 squares."""
-    if exact:
+def _sum_squares(a: np.ndarray) -> float:
+    """The sum of ``a ** 2``. An integer ``a``, uint8 samples or an int16
+    difference or Laplacian, is summed in int64; below 2**53, which a band
+    of under 1.38e11 pixels stays, that is the value ``np.sum`` gives in
+    float64 in any order. A float64 ``a`` takes ``np.sum`` of its
+    squares."""
+    if a.dtype.kind in "iu":
         square = np.square(a, dtype=np.uint16 if a.dtype == np.uint8 else np.int32)
         return float(square.sum(dtype=np.int64))
     return float(np.sum(np.square(a, dtype=np.float64)))
@@ -129,22 +129,22 @@ def nrmse(f: Raster, m: Raster) -> float:
 
 def _spectral(f: Raster, m: Raster) -> tuple[np.ndarray, float, float]:
     """(|f - m|, SNR, NRMSE) from one difference ``d = f - m`` of the
-    bands' operands, int16 when :func:`_exact`, else float64: its energy,
+    bands' arrays, int16 when :func:`_exact`, else float64: its energy,
     shared by SNR and NRMSE, is taken first, then ``d`` becomes ``|d|``
     in place, DI's numerator for :func:`_mean_ratio`."""
     exact = _exact(f, m)
-    d = np.subtract(operand(f), operand(m), dtype=np.int16 if exact else np.float64)
-    noise = _sum_squares(d, exact)
-    signal = _sum_squares(operand(f), exact)
+    d = np.subtract(f.array, m.array, dtype=np.int16 if exact else np.float64)
+    noise = _sum_squares(d)
+    signal = _sum_squares(f.array)
     ratio = math.inf if noise == 0.0 else math.sqrt(signal / noise)
     return np.abs(d, out=d), ratio, math.sqrt(noise / d.size / 255.0 ** 2)
 
 
 def _centred(r: Raster, writeable: bool = True) -> tuple[np.ndarray, float]:
-    """The operand minus its mean, a fresh float64 array, and its
+    """``r.array`` minus its mean, a fresh float64 array, and its
     population std. On integers the mean's sum is exact, so it has the
     bits of the float64 samples' mean."""
-    _, dy, variance = moments(operand(r))
+    _, dy, variance = moments(r.array)
     dy.flags.writeable = writeable
     return dy, math.sqrt(variance)
 
@@ -187,7 +187,7 @@ def hpdi(fused_band: Raster, pan: Raster) -> tuple[float, int]:
     """
     require_same_grid(fused_band, pan, "hpdi")
     # int16 (within +-4080) when both Laplacians are.
-    diff = np.subtract(operand(laplacian_hp(fused_band)), operand(laplacian_hp(pan)))
+    diff = np.subtract(laplacian_hp(fused_band).array, laplacian_hp(pan).array)
     return _mean_ratio(np.abs(diff, out=diff), pan, "HPDI: PAN")
 
 
@@ -209,7 +209,7 @@ def _local_michelson(band: Raster) -> np.ndarray:
 def _pan_classes(pan_hp: Raster, percentile: float) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the edge and homogeneous pixels of a PAN's
     Laplacian plane; raises, memoising nothing, if either class is empty."""
-    magnitude = np.abs(operand(pan_hp))
+    magnitude = np.abs(pan_hp.array)
     threshold = float(np.percentile(magnitude, percentile))
     edge_mask = magnitude >= threshold
     edge, homog = np.flatnonzero(edge_mask), np.flatnonzero(~edge_mask)

@@ -1,11 +1,12 @@
 """Core image representation, PNM I/O, resampling, population moments,
 quantization.
 
-Pixel data is carried as digital numbers (DN). A Raster built from uint8
-or int16 samples holds only that array (:func:`operand`) and derives its
-float64 samples afresh on every read, never keeping them; any other
-Raster holds float64 samples. Values derived from a Raster's samples are
-cached on it only through :func:`memoised`.
+Pixel data is carried as digital numbers (DN). A Raster holds one array,
+``Raster.array``: uint8 or int16 as it was given, else float64. Its
+``samples`` are that array as float64: the array itself when it is
+float64, else a conversion made afresh on every read and never kept.
+Values derived from a Raster's samples are cached on it only through
+:func:`memoised`.
 Quantization to the 8-bit grid happens only through one clamp-and-round
 step with two entry points: :func:`quantize_rows`, which rounds a fused
 strip in the caller's own buffer, and :func:`clamp_quantize`, which SF
@@ -17,9 +18,9 @@ strip (:func:`row_strips`) at a time.
 A Raster is on the 8-bit grid when ``dn8(r) is not None``, decided once
 when it is built: every quantized result, every loaded band whose
 rescaled DN are all integers (maxval 255 or a divisor of it, 16-bit DN *
-257), and their resamples. Arithmetic reads their uint8 samples
-(:func:`operand`) wherever numpy promotes the result to float64, which
-is exact; uint8 combined with uint8 or an integer scalar would wrap. The
+257), and their resamples. Arithmetic reads ``Raster.array``, their
+uint8 samples, wherever numpy promotes the result to float64, which is
+exact; uint8 combined with uint8 or an integer scalar would wrap. The
 3x3 stencils in ``filtering`` run on them in exact int16 arithmetic, and
 a Laplacian keeps its int16 result.
 """
@@ -51,21 +52,24 @@ T = TypeVar("T")
 class Raster:
     """Single-band 2-D grid of real-valued DN, shape (height, width).
 
-    A C-contiguous float64, uint8 or int16 array that owns its data is
-    frozen in place; anything else, a view of another array included, is
-    copied first. A uint8 or int16 array is kept, and ``samples``, its
-    read-only float64 conversion, is made afresh on every read.
-    Other integer and bool arrays are converted to float64 once and not
-    checked for non-finite samples, which they cannot hold; anything else
-    is checked after its conversion (see :func:`_require_finite`).
+    ``array`` holds the samples: a uint8 or int16 array as given, any
+    other real array converted to float64. A C-contiguous array of one of
+    those three dtypes that owns its data is frozen in place; anything
+    else, a view of another array included, is copied first. Other
+    integer and bool arrays are converted once and not checked for
+    non-finite samples, which they cannot hold; anything else is checked
+    after its conversion (see :func:`_require_finite`). A complex array
+    is rejected.
     """
 
-    samples: np.ndarray
+    array: np.ndarray
 
     def __post_init__(self):
-        a = self.samples
+        a = self.array
+        if np.iscomplexobj(a):
+            raise ValueError(f"raster samples must be real, got {np.asarray(a).dtype}")
         integral = isinstance(a, np.ndarray) and a.dtype.kind in "biu"
-        kept = integral and a.dtype in _KEPT_DTYPES
+        kept = integral and a.dtype in (np.uint8, np.int16)
         a = np.asarray(a, dtype=a.dtype if kept else np.float64)
         if a.ndim != 2:
             raise ValueError(f"raster samples must be 2-D, got {a.ndim}-D")
@@ -77,25 +81,26 @@ class Raster:
         if a.base is not None:
             a = a.copy()
         a.flags.writeable = False
-        del self.__dict__["samples"]  # a uint8 or int16 array is kept under _KEPT
-        self.__dict__[_KEPT if kept else "samples"] = a
+        object.__setattr__(self, "array", a)
 
-    def __getattr__(self, name):
-        # Reached for "samples" of a uint8 or int16 Raster, which keeps no float64 copy.
-        kept = self.__dict__.get(_KEPT)
-        if name != "samples" or kept is None:
-            raise AttributeError(name)
-        samples = kept.astype(np.float64)
+    @property
+    def samples(self) -> np.ndarray:
+        """The samples as a read-only float64 array: ``array`` itself when
+        it is float64, else a fresh conversion that is not kept."""
+        a = self.array
+        if a.dtype == np.float64:
+            return a
+        samples = a.astype(np.float64)
         samples.flags.writeable = False
         return samples
 
     @property
     def width(self) -> int:
-        return operand(self).shape[1]
+        return self.array.shape[1]
 
     @property
     def height(self) -> int:
-        return operand(self).shape[0]
+        return self.array.shape[0]
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -127,24 +132,11 @@ def memoised(r: Raster, key: Hashable, compute: Callable[[], T]) -> T:
     return value
 
 
-# The integer dtypes a Raster keeps, and the instance-dict key it keeps them under.
-_KEPT_DTYPES = (np.dtype(np.uint8), np.dtype(np.int16))
-_KEPT = "_kept"
-
-
 def dn8(r: Raster):
-    """The read-only uint8 array ``r`` holds when it is on the 8-bit grid
-    (see the module docstring), else None. The values equal ``r.samples``."""
-    kept = r.__dict__.get(_KEPT)
-    return kept if kept is not None and kept.dtype == np.uint8 else None
-
-
-def operand(r: Raster) -> np.ndarray:
-    """``r``'s uint8 or int16 samples when it holds them, else its float64
-    samples: the array to read where numpy promotes the result to float64
-    (a float64 array or float scalar on the other side, or ``dtype``)."""
-    kept = r.__dict__.get(_KEPT)
-    return r.samples if kept is None else kept
+    """``r.array`` when it is uint8, so ``r`` is on the 8-bit grid (see
+    the module docstring), else None."""
+    a = r.array
+    return a if a.dtype == np.uint8 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +149,11 @@ class MultiBandImage:
         bands = tuple(self.bands)
         if len(bands) < 1:
             raise ValueError("image must have at least 1 band")
-        w, h = bands[0].width, bands[0].height
         for k, b in enumerate(bands):
             if not isinstance(b, Raster):
                 raise TypeError(f"band {k} is not a Raster")
+        w, h = bands[0].width, bands[0].height
+        for k, b in enumerate(bands):
             if b.width != w or b.height != h:
                 raise ValueError(
                     f"band {k} is {b.width}x{b.height}, expected {w}x{h}"
@@ -369,7 +362,7 @@ def _resample_raster(r: Raster, target_w: int, target_h: int) -> Raster:
     # ``np.ix_`` goes through the general broadcast fancy-index path. The
     # result is a new C-contiguous array, so Raster keeps it uncopied,
     # and uint8 samples stay uint8.
-    return Raster(operand(r).take(cols, axis=1).take(rows, axis=0))
+    return Raster(r.array.take(cols, axis=1).take(rows, axis=0))
 
 
 def resample_nearest(image, target_w: int, target_h: int):
@@ -403,7 +396,7 @@ def moments(a: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 # Pixels per row strip (see :func:`row_strips`): 2**17 float64 samples are
-# 1 MiB, so a strip's operands and temporaries stay in a 2 MiB L2 cache.
+# 1 MiB, so a strip's inputs and temporaries stay in a 2 MiB L2 cache.
 _STRIP_PIXELS = 1 << 17
 
 

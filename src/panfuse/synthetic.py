@@ -15,7 +15,7 @@ import numpy as np
 
 from .colorspace import intensity
 from .filtering import box_lpf
-from .raster import MultiBandImage, Raster, clamp_quantize, operand, resample_nearest, save_pnm
+from .raster import MultiBandImage, Raster, clamp_quantize, resample_nearest, save_pnm
 
 __all__ = ["SyntheticSpec", "synthesize", "generate_pair"]
 
@@ -52,7 +52,7 @@ class SyntheticSpec:
 
 def _block_average(r: Raster, factor: int) -> Raster:
     h, w = r.height // factor, r.width // factor
-    blocks = operand(r).reshape(h, factor, w, factor)
+    blocks = r.array.reshape(h, factor, w, factor)
     return Raster(blocks.mean(axis=(1, 3)))
 
 
@@ -73,7 +73,7 @@ def synthesize(spec: SyntheticSpec) -> tuple[MultiBandImage, Raster, MultiBandIm
         channels.append(clamp_quantize(plane))
     reference = MultiBandImage(tuple(channels))
 
-    pan = clamp_quantize(Raster(intensity(*(operand(b) for b in reference.bands))))
+    pan = clamp_quantize(Raster(intensity(*(b.array for b in reference.bands))))
 
     coarse = tuple(
         clamp_quantize(_block_average(b, spec.scale_factor)) for b in reference.bands

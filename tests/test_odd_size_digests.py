@@ -59,8 +59,7 @@ def run_digests(run_dir) -> dict:
     }
 
 
-def test_odd_size_run_keeps_its_bytes(tmp_path, capsys):
+def test_odd_size_run_keeps_its_bytes(tmp_path):
     got = run_digests(tmp_path)
-    capsys.readouterr()
     assert sorted(got) == sorted(EXPECTED)
     assert [name for name in EXPECTED if got[name] != EXPECTED[name]] == []

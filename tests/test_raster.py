@@ -1,5 +1,6 @@
 """Raster containers, PNM I/O, resampling, statistics, quantization."""
 
+import dataclasses
 import gc
 import math
 import tempfile
@@ -20,7 +21,6 @@ from panfuse.raster import (
     dn8,
     load_pnm,
     moments,
-    operand,
     resample_nearest,
     save_pnm,
 )
@@ -140,14 +140,27 @@ class TestRaster:
     )
     def test_integer_raster_keeps_no_float64_samples(self, a):
         r = Raster(a)
-        kept = operand(r)
+        kept = r.array
         first = r.samples
         assert "samples" not in vars(r)
         second = r.samples
         assert second is not first
         assert np.array_equal(second, first) and second.dtype == np.float64
-        assert operand(r) is kept and kept.dtype == a.dtype
+        assert r.array is kept and kept.dtype == a.dtype
         assert np.array_equal(kept, a)
+
+    def test_repr_and_replace_keep_the_uint8_array(self):
+        r = Raster(np.array([[0, 7, 255]], dtype=np.uint8))
+        assert repr(r) == "Raster(array=array([[  0,   7, 255]], dtype=uint8))"
+        copy = dataclasses.replace(r)
+        assert dn8(copy) is r.array
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([[1 + 2j, 3]]), [[1 + 2j, 3]]], ids=["array", "list"]
+    )
+    def test_rejects_complex_samples(self, bad):
+        with pytest.raises(ValueError, match="raster samples must be real, got complex128"):
+            Raster(bad)
 
 
 class TestMultiBandImage:
@@ -170,6 +183,11 @@ class TestMultiBandImage:
         band = Raster(np.zeros((2, 2)))
         with pytest.raises(TypeError, match="band 1 is not a Raster"):
             MultiBandImage((band, np.zeros((2, 2))))
+
+    def test_rejects_a_first_band_that_is_not_a_raster(self):
+        band = Raster(np.zeros((2, 2)))
+        with pytest.raises(TypeError, match="band 0 is not a Raster"):
+            MultiBandImage((np.zeros((2, 2)), band))
 
 
 class TestClampQuantize:

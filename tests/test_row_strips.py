@@ -18,7 +18,7 @@ from panfuse import raster
 from panfuse.colorspace import ihs_forward, ihs_inverse
 from panfuse.filtering import box_lpf, window3x3
 from panfuse.fusion import FUSION_METHODS, fuse_ef, fuse_hfa, fuse_hsv, fuse_ihs, fuse_sf
-from panfuse.raster import MultiBandImage, Raster, clamp_quantize, operand, row_strips, save_pnm
+from panfuse.raster import MultiBandImage, Raster, clamp_quantize, row_strips, save_pnm
 from panfuse.synthetic import SyntheticSpec, synthesize
 
 TINY = 7
@@ -47,7 +47,7 @@ def bits(result):
         result = result.bands
     if isinstance(result, (Raster, np.ndarray)):
         result = [result]
-    arrays = (operand(r) if isinstance(r, Raster) else r for r in result)
+    arrays = (r.array if isinstance(r, Raster) else r for r in result)
     return [(a.dtype, a.tobytes()) for a in arrays]
 
 
@@ -78,14 +78,14 @@ def test_fusion_methods(monkeypatch, shape, method, quantize):
         # A fresh PAN per call: its memoised Laplacian must not carry over.
         same_in_tiny_strips(
             monkeypatch,
-            lambda: FUSION_METHODS[method](ms, Raster(operand(pan).copy()), quantize=quantize),
+            lambda: FUSION_METHODS[method](ms, Raster(pan.array.copy()), quantize=quantize),
         )
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_quantize_save_and_ihs_transforms(monkeypatch, shape, tmp_path):
     for ms, _ in images(shape):
-        spread = MultiBandImage(tuple(Raster(operand(b) * 1.3 - 20.0) for b in ms.bands))
+        spread = MultiBandImage(tuple(Raster(b.array * 1.3 - 20.0) for b in ms.bands))
 
         names = ("s.ppm", "s.pgm")
 
@@ -148,7 +148,7 @@ def test_quantized_product_peak_stays_below_three_float64_planes(method):
     alive at once; built strip by strip, only the detail plane is whole."""
     ms, pan, _ = synthesize(SyntheticSpec(seed=4, width=PEAK_SIZE, height=PEAK_SIZE))
     fused, peak = peak_planes(lambda: method(ms, pan))
-    assert operand(fused.bands[0]).dtype == np.uint8
+    assert fused.bands[0].array.dtype == np.uint8
     assert peak < 3, f"peak {peak:.2f} float64 planes"
 
 
