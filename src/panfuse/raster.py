@@ -58,24 +58,25 @@ class Raster:
     else, a view of another array included, is copied first. Other
     integer and bool arrays are converted once and not checked for
     non-finite samples, which they cannot hold; anything else is checked
-    after its conversion (see :func:`_require_finite`). A complex array
-    is rejected.
+    after its conversion (see :func:`_require_finite`). Input whose
+    ``np.asarray`` is not bool, integer or real floating (complex,
+    strings, bytes, datetimes, objects) is rejected, naming its dtype.
     """
 
     array: np.ndarray
 
     def __post_init__(self):
-        a = self.array
-        if np.iscomplexobj(a):
-            raise ValueError(f"raster samples must be real, got {np.asarray(a).dtype}")
-        integral = isinstance(a, np.ndarray) and a.dtype.kind in "biu"
-        kept = integral and a.dtype in (np.uint8, np.int16)
-        a = np.asarray(a, dtype=a.dtype if kept else np.float64)
+        a = np.asarray(self.array)
+        kind = a.dtype.kind
+        if kind not in "biuf":
+            raise ValueError(f"raster samples must be real, got {a.dtype}")
+        if a.dtype not in (np.uint8, np.int16):
+            a = a.astype(np.float64, copy=False)
         if a.ndim != 2:
             raise ValueError(f"raster samples must be 2-D, got {a.ndim}-D")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"raster dimensions must be >= 1, got {a.shape}")
-        if not integral:
+        if kind == "f":
             _require_finite(a)
         a = np.ascontiguousarray(a)
         if a.base is not None:
@@ -406,8 +407,9 @@ def row_strips(shape) -> list[slice]:
 
     Elementwise chains run strip by strip, so their temporaries stay
     strip-sized and in cache; an elementwise IEEE operation gives the same
-    bits on a slice as on the whole plane. Reductions stay whole-plane,
-    as their pairwise summation order fixes their bits.
+    bits on a slice as on the whole plane. A float64 reduction stays
+    whole-plane, as its pairwise summation order fixes its bits; an exact
+    integer sum, as ``fusion`` takes on the 8-bit grid, may run by strip.
     """
     height, width = shape
     step = max(1, _STRIP_PIXELS // width)
@@ -421,13 +423,18 @@ def _clamp_round(a: np.ndarray, q: np.ndarray, out=None) -> None:
     np.add(np.clip(a, 0.0, 255.0, out=out), 0.5, out=q, casting="unsafe")
 
 
-def quantize_rows(a: np.ndarray, q: np.ndarray) -> None:
-    """Round ``a``, a float64 array the caller owns and no longer needs,
-    into the uint8 array ``q`` of its shape: ``a`` is checked for
-    non-finite samples (ValueError as :class:`Raster` raises), then
-    clamped in its own buffer and rounded by the one clamp-and-round step."""
+def quantize_rows(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Round ``a``, an array the caller owns and no longer needs, into the
+    uint8 array ``q`` of its shape, and return ``q``. A float64 ``a`` is
+    checked for non-finite samples (ValueError as :class:`Raster` raises),
+    then clamped in its own buffer and rounded by the one clamp-and-round
+    step. An integer ``a`` is only clamped, straight into ``q``: on
+    integers that is the same step's result."""
+    if a.dtype.kind != "f":
+        return np.clip(a, 0, 255, out=q, casting="unsafe")
     _require_finite(a)
     _clamp_round(a, q, out=a)
+    return q
 
 
 def clamp_quantize(r: Raster) -> Raster:

@@ -6,8 +6,12 @@ sums of squares are taken in int64 where both bands are on the grid and
 by ``np.sum`` elsewhere; both must give the bits of the formulas below.
 Quantization in the caller's buffer, the finite check by one sum, the integer-sample
 conversion and the PNM paths built on uint8 must each give the bits of
-the plain formula they replace. Every fusion method must give the same
-bits on inputs that hold uint8 samples as on float64 copies of them."""
+the plain formula they replace. SF, HFA, HFM and EF must give the same
+bits on inputs that hold uint8 samples as on float64 copies of them.
+IHS, HSV and RVS take their moments from exact integer sums on the grid
+and from float64 sums on the copies: every load of the same DN gives
+the same bits, and the copies agree to 1e-9 DN, a quantized byte
+differing only at a .5 tie."""
 
 import math
 import tempfile
@@ -22,7 +26,7 @@ from hypothesis.extra.numpy import arrays
 
 from panfuse.filtering import box_lpf, laplacian_hp, unsharp_mask
 from panfuse import metrics
-from panfuse.fusion import FUSION_METHODS, fuse
+from panfuse.fusion import FUSION_METHODS, fuse, fuse_rvs
 from panfuse.metrics import csa, deviation_index, evaluate_all, nrmse, snr
 from panfuse.raster import (
     MultiBandImage,
@@ -510,19 +514,43 @@ def binary_pnm(stored, maxval, path):
     return path
 
 
+# Fused from exact integer moments on the grid (see the module docstring).
+EXACT_MOMENTS = ("IHS", "HSV", "RVS")
+# MS [3, 1, 1, 1, 1] regressed on PAN [1, 0, 1, 1, 1]: the exact slope
+# and intercept give 1.5 where PAN is 1, the float64 copies' 1.4999...
+RVS_TIE = (np.array([[3, 1, 1, 1, 1]], np.uint8), np.array([[1, 0, 1, 1, 1]], np.uint8))
+
+
+def assert_near_the_copies(method, ms, pan, ms_copy, pan_copy):
+    """``method``'s product of 8-bit inputs against that of their float64
+    copies: real values within 1e-9 DN, and the same quantized bytes
+    except where the copies' real value lies within 1e-9 of a .5 tie."""
+    both = ((ms, pan), (ms_copy, pan_copy))
+    real, want = ([b.samples for b in method(*args, quantize=False).bands] for args in both)
+    q, want_q = ([b.array for b in method(*args).bands] for args in both)
+    for r, wr, b, wb in zip(real, want, q, want_q):
+        np.testing.assert_allclose(r, wr, rtol=0, atol=1e-9)
+        tie = np.abs(wr - np.floor(wr) - 0.5) <= 1e-9
+        assert np.array_equal(b[~tie], wb[~tie])
+
+
 # R = 0 against G = 255 and the other way round: r + g, r - g and -r
 # would each wrap if taken in uint8.
 @given(fusion_inputs())
 @example((1, np.stack([np.zeros_like(SPREAD), np.full_like(SPREAD, 255), SPREAD, 255 - SPREAD])))
 @example((2, np.stack([fine(x) for x in (EXTREMES, 255 - EXTREMES, EXTREMES, 255 - EXTREMES)])))
 @example((1, np.stack([EXTREMES, 255 - EXTREMES, np.zeros_like(EXTREMES), EXTREMES])))
+@example((1, np.stack([RVS_TIE[0]] * 3 + [RVS_TIE[1]])))
 @settings(deadline=None, max_examples=40)
 def test_fusion_on_loaded_8bit_inputs_matches_float64_copies(inputs):
     """MS and PAN loaded from maxval-255 binary and ASCII files and from
     16-bit files storing DN * 257 give the bytes of hand-built float64
-    copies. So does a maxval-510 P6 whose first two bands store 2 * DN
-    (exact, held as uint8) and whose third stores 2 * DN + 1 (DN + 0.5,
-    held as float64, except where DN is 255)."""
+    copies through SF, HFA, HFM and EF. So does a maxval-510 P6 whose
+    first two bands store 2 * DN (exact, held as uint8) and whose third
+    stores 2 * DN + 1 (DN + 0.5, held as float64, except where DN is
+    255). Through IHS, HSV and RVS the three on-grid loads give each
+    other's bytes, and every load is near the copies
+    (:func:`assert_near_the_copies`)."""
     f, planes = inputs
     h, w = planes.shape[1:]
     coarse = np.ascontiguousarray(planes[:3, ::f, ::f].transpose(1, 2, 0))
@@ -544,12 +572,33 @@ def test_fusion_on_loaded_8bit_inputs_matches_float64_copies(inputs):
     fractional = bool(np.any(coarse[:, :, 2] < 255))
     assert [dn8(b) is None for b in mixed_ms.bands] == [False, False, fractional]
     loads.append((mixed_ms, loads[0][1], copies(mixed * 255.0 / 510)))
-    for ms8, pan8, want_ms in loads:
+    on_grid = {}
+    for k, (ms8, pan8, want_ms) in enumerate(loads):
         ms8 = resample_nearest(ms8, w, h)
         for name, method in FUSION_METHODS.items():
             for quantize in (True, False):
-                want = fused(method, want_ms, pan, quantize)
-                assert fused(method, ms8, pan8, quantize) == want, (name, quantize)
+                got = fused(method, ms8, pan8, quantize)
+                if name not in EXACT_MOMENTS:
+                    assert got == fused(method, want_ms, pan, quantize), (name, quantize)
+                elif k < 3:
+                    assert on_grid.setdefault((name, quantize), got) == got, (name, quantize)
+            if name in EXACT_MOMENTS:
+                assert_near_the_copies(method, ms8, pan8, want_ms, pan)
+
+
+def test_rvs_rounds_a_tie_the_float64_copies_miss():
+    """The one change exact moments make: an RVS product that is a .5 tie
+    on the grid lands just below it from the copies' float64 slope, so
+    its byte rounds up on the grid and down from the copies."""
+    m, p = RVS_TIE
+    grid = (MultiBandImage((Raster(m),)), Raster(p))
+    copies = (MultiBandImage((hand_built(m),)), hand_built(p))
+    real = [fuse_rvs(*args, quantize=False).bands[0].samples[0, 0] for args in (grid, copies)]
+    assert [x.hex() for x in real] == [(1.5).hex(), (1.5 - 2.0 ** -52).hex()]
+    assert [dn8(fuse_rvs(*args).bands[0])[0].tolist() for args in (grid, copies)] == [
+        [2, 1, 2, 2, 2],
+        [1, 1, 1, 1, 1],
+    ]
 
 
 def test_no_uint8_raster_derives_float64_samples(tmp_path, monkeypatch):

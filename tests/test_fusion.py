@@ -8,6 +8,7 @@ against ``colorspace``'s transform round trips, their specification.
 
 import colorsys
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from panfuse.colorspace import HsvPlanes, hsv_forward, hsv_inverse, ihs_forward,
 from panfuse.fusion import (
     FUSION_METHODS,
     METHOD_NAMES,
+    _moments,
     fuse,
     fuse_ef,
     fuse_hfa,
@@ -214,6 +216,69 @@ class TestMatchMeanStd:
         assert out.flags.owndata
         assert src.tobytes() == src_before.tobytes()
         assert ref.tobytes() == ref_before.tobytes()
+
+
+def rounded_once(a, divisor=1):
+    """The mean and variance of the integers ``a / divisor`` as exact
+    fractions, each rounded once to a float."""
+    xs = [int(x) for x in a.flat]
+    n = len(xs)
+    mean = Fraction(sum(xs), n * divisor)
+    return float(mean), float(Fraction(sum(x * x for x in xs), n * divisor ** 2) - mean ** 2)
+
+
+def exact_rvs_fit(p, m):
+    """``fuse_rvs``'s prediction of the uint8 band ``m`` from the uint8 PAN
+    ``p``, with the slope the exact fraction of integer sums rounded once
+    and the intercept the float mean(m) - slope * mean(p)."""
+    ps, ms = [int(x) for x in p.flat], [int(x) for x in m.flat]
+    n, sp, sm = len(ps), sum(ps), sum(ms)
+    den = n * sum(x * x for x in ps) - sp * sp
+    slope = float(Fraction(n * sum(x * y for x, y in zip(ps, ms)) - sp * sm, den)) if den else 0.0
+    return (sm / n - slope * (sp / n)) + slope * p.astype(np.float64)
+
+
+dn_shapes = st.tuples(st.integers(1, 9), st.integers(1, 9))
+
+
+class TestExactMoments:
+    """On integers ``fusion._moments`` and the on-grid RVS slope are exact
+    fractions rounded once. The examples are planes where the float path
+    (a centred float64 plane, or an intensity plane S / 3) misses the last
+    bit of the variance, or of the mean too."""
+
+    @given(dn_shapes.flatmap(lambda s: arrays(np.uint8, s, elements=st.integers(0, 255))))
+    @example(np.zeros((1, 1), np.uint8))
+    @example(np.full((1, 1), 255, np.uint8))
+    @example(np.full((3, 7), 131, np.uint8))
+    @example(np.array([[0, 255, 0], [255, 0, 255]], np.uint8))
+    @example(np.array([[56, 18, 149]], np.uint8))
+    @settings(deadline=None)
+    def test_uint8_plane(self, a):
+        assert _moments(a) == rounded_once(a)
+
+    @given(dn_shapes.flatmap(lambda s: arrays(np.uint8, (3, *s), elements=st.integers(0, 255))))
+    @example(np.full((3, 1, 1), 255, np.uint8))
+    @example(np.array([[[249, 11, 36]], [[152, 66, 148]], [[33, 129, 158]]], np.uint8))
+    @settings(deadline=None)
+    def test_int16_band_sum_with_divisor_3(self, bands):
+        total = bands.sum(axis=0, dtype=np.int16)
+        assert _moments(total, 3) == rounded_once(total, 3)
+
+    def test_sums_past_float64_precision(self):
+        """At 1024x1024, n * sum(a**2) and sum(a)**2 exceed 2**53: float64
+        sums would round them, the int sums do not."""
+        a = np.random.default_rng(0).integers(0, 256, (1024, 1024), dtype=np.uint8)
+        assert _moments(a) == rounded_once(a)
+
+    @given(dn_shapes.flatmap(lambda s: arrays(np.uint8, (2, *s), elements=st.integers(0, 255))))
+    @example(np.array([[[1, 0, 1, 1, 1]], [[3, 1, 1, 1, 1]]], np.uint8))
+    @example(np.full((2, 2, 3), 7, np.uint8))
+    @settings(deadline=None)
+    def test_rvs_slope(self, planes):
+        p, m = planes
+        got = rvs_band(Raster(p), Raster(m))
+        assert got.tobytes() == exact_rvs_fit(p, m).tobytes()
 
 
 def rvs_band(pan, band):
@@ -507,10 +572,20 @@ class TestFuseRvs:
         for fused, band in zip(out.bands, ms.bands):
             assert np.allclose(fused.samples, np.mean(band.samples), atol=1e-12)
 
+    @staticmethod
+    def assert_fits(ms, pan, want):
+        real, quantized = fuse_rvs(ms, pan, quantize=False), fuse_rvs(ms, pan)
+        for w, r, q in zip(want, real.bands, quantized.bands):
+            np.testing.assert_array_equal(r.samples, w)
+            np.testing.assert_array_equal(q.samples, clamp_quantize(Raster(w)).samples)
+
     def test_same_bits_as_a_fit_per_band(self):
-        # PAN's moments are shared by the bands; each band must still get
-        # the bits of a fit that recentres PAN on its own.
-        ms, pan = synthetic_pair(7, size=32)
+        # Float64 copies of the bands and PAN take the float path. PAN's
+        # moments are shared by the bands; each band must still get the
+        # bits of a fit that recentres PAN on its own.
+        grid_ms, grid_pan = synthetic_pair(7, size=32)
+        ms = MultiBandImage(tuple(Raster(b.samples) for b in grid_ms.bands))
+        pan = Raster(grid_pan.samples)
         p = pan.samples.ravel()
         want = []
         for b in ms.bands:
@@ -518,10 +593,21 @@ class TestFuseRvs:
             p_mean, m_mean = np.mean(p), np.mean(m)
             slope = float(np.mean((p - p_mean) * (m - m_mean)) / np.mean((p - p_mean) ** 2))
             want.append(float(m_mean - slope * p_mean) + slope * pan.samples)
-        real, quantized = fuse_rvs(ms, pan, quantize=False), fuse_rvs(ms, pan)
-        for w, r, q in zip(want, real.bands, quantized.bands):
-            np.testing.assert_array_equal(r.samples, w)
-            np.testing.assert_array_equal(q.samples, clamp_quantize(Raster(w)).samples)
+        self.assert_fits(ms, pan, want)
+
+    def test_on_grid_bits_are_the_exact_fit(self):
+        # uint8 bands and PAN: the slope is the exact ratio of integer
+        # sums, rounded once, and the intercept uses the means sum / n.
+        ms, pan = synthetic_pair(7, size=32)
+        p = [int(x) for x in pan.array.ravel()]
+        n, sp = len(p), sum(p)
+        want = []
+        for b in ms.bands:
+            m = [int(x) for x in b.array.ravel()]
+            sm, spm = sum(m), sum(x * y for x, y in zip(p, m))
+            slope = float(Fraction(n * spm - sp * sm, n * sum(x * x for x in p) - sp * sp))
+            want.append((sm / n - slope * (sp / n)) + slope * pan.samples)
+        self.assert_fits(ms, pan, want)
 
 
 class TestFuseEf:

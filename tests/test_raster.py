@@ -1,6 +1,7 @@
 """Raster containers, PNM I/O, resampling, statistics, quantization."""
 
 import dataclasses
+import re
 import gc
 import math
 import tempfile
@@ -160,6 +161,23 @@ class TestRaster:
     )
     def test_rejects_complex_samples(self, bad):
         with pytest.raises(ValueError, match="raster samples must be real, got complex128"):
+            Raster(bad)
+
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [
+            (np.array([["1.5", "2"]]), "<U3"),
+            (np.array([[b"1", b"2"]]), "|S1"),
+            (np.array([["2020-01-01"]], dtype="datetime64[D]"), "datetime64[D]"),
+            (np.array([[3]], dtype="timedelta64[s]"), "timedelta64[s]"),
+            ([[None, 1.0]], "object"),
+        ],
+        ids=["str", "bytes", "datetime64", "timedelta64", "object"],
+    )
+    def test_rejects_samples_that_are_not_numbers(self, bad, dtype):
+        # Each of these once converted to float64 (or, for None, was
+        # reported as non-finite); the dtype is named instead.
+        with pytest.raises(ValueError, match=f"^raster samples must be real, got {re.escape(dtype)}$"):
             Raster(bad)
 
 

@@ -5,8 +5,8 @@ one row strip (``raster.row_strips``) at a time. With the strip size cut
 to 7 pixels, every result must equal the one built in a single strip, on
 shapes of one row, one column, a ragged last strip and rows wider than a
 strip. Built strip by strip, a quantized product holds no float64 plane,
-and SF, IHS, HSV, the stencils and ``synthesize`` drop each whole plane
-once it is dead.
+and SF, IHS, HSV, RVS, the stencils and ``synthesize`` drop each whole
+plane once it is dead.
 """
 
 import tracemalloc
@@ -17,7 +17,15 @@ import pytest
 from panfuse import raster
 from panfuse.colorspace import ihs_forward, ihs_inverse
 from panfuse.filtering import box_lpf, window3x3
-from panfuse.fusion import FUSION_METHODS, fuse_ef, fuse_hfa, fuse_hsv, fuse_ihs, fuse_sf
+from panfuse.fusion import (
+    FUSION_METHODS,
+    fuse_ef,
+    fuse_hfa,
+    fuse_hsv,
+    fuse_ihs,
+    fuse_rvs,
+    fuse_sf,
+)
 from panfuse.raster import MultiBandImage, Raster, clamp_quantize, row_strips, save_pnm
 from panfuse.synthetic import SyntheticSpec, synthesize
 
@@ -155,10 +163,13 @@ def test_quantized_product_peak_stays_below_three_float64_planes(method):
 # Traced peaks in float64 planes of a 512x512 pair, with strips cut to 2**12
 # pixels so that their temporaries are negligible. Each plane is dropped
 # once it is dead: SF holds at most six (three float64 Rasters in, three
-# out), IHS and HSV take the reference's moments before the source's and
-# scale the source in its own centred copy, and a 3x3 stencil pads one
-# strip, not the plane.
-@pytest.mark.parametrize("method, bound", [(fuse_sf, 6.5), (fuse_ihs, 3.25), (fuse_hsv, 2.5)])
+# out), and a 3x3 stencil pads one strip, not the plane. On the 8-bit
+# grid IHS, HSV and RVS take their moments from exact integer sums and
+# make no centred or squared plane: besides their three uint8 product
+# planes they hold at most an int16 band sum (IHS) or a uint8 V (HSV).
+@pytest.mark.parametrize(
+    "method, bound", [(fuse_sf, 6.5), (fuse_ihs, 1.0), (fuse_hsv, 1.0), (fuse_rvs, 1.0)]
+)
 def test_quantized_product_peak(monkeypatch, method, bound):
     ms, pan, _ = synthesize(SyntheticSpec(seed=4, width=PEAK_SIZE, height=PEAK_SIZE))
     monkeypatch.setattr(raster, "_STRIP_PIXELS", 1 << 12)
