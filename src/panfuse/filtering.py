@@ -28,18 +28,18 @@ __all__ = ["box_lpf", "unsharp_mask", "laplacian_hp"]
 def window3x3(x: np.ndarray, *reductions) -> list[np.ndarray]:
     """Reduce each 3x3 window of ``x`` under replicate padding, once per
     ufunc in ``reductions`` (``np.add``, ``np.minimum``, ``np.maximum``),
-    into arrays of ``x``'s dtype, one row strip (``raster.row_strips``)
-    at a time. Each strip is copied into one padded buffer with a halo
-    row above and below, clamped at the plane's edges, so no padded plane
-    is made. Each reduction is taken separably over three row-shifted
-    slices of the buffer and then three column-shifted ones, as
-    ``f(f(a, b), c)``. For ``np.add`` on integral DN every partial sum is
-    an exact integer, so the order is immaterial; min and max are exact in
-    any order.
+    into arrays of ``x``'s dtype, one row strip (``raster.row_strips``,
+    sized for ``x``'s samples) at a time. Each strip is copied into one
+    padded buffer with a halo row above and below, clamped at the plane's
+    edges, so no padded plane is made. Each reduction is taken separably
+    over three row-shifted slices of the buffer and then three
+    column-shifted ones, as ``f(f(a, b), c)``. For ``np.add`` on integral
+    DN every partial sum is an exact integer, so the order is immaterial;
+    min and max are exact in any order.
     """
     h, w = x.shape
     out = [np.empty((h, w), x.dtype) for _ in reductions]
-    strips = row_strips((h, w))
+    strips = row_strips((h, w), x.itemsize)
     padded = np.empty((strips[0].stop + 2, w + 2), x.dtype)
     for strip in strips:
         top, end = strip.start, strip.stop

@@ -22,6 +22,7 @@ from .raster import (
     MultiBandImage,
     Raster,
     clamp_quantize,
+    exact_sum,
     moments,
     quantize_rows,
     require_same_grid,
@@ -48,33 +49,25 @@ _DEGENERATE_STD = 1e-9
 _HFM_DENOM_FLOOR = 1e-9
 
 
-def _sums(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
-    """(sum of ``a``, sum of ``a * b``) of two integer arrays of one shape,
-    as exact Python ints. Each product is taken in uint16 for two uint8
-    arrays, else in int32, and each sum in int64, one row strip
-    (``raster.row_strips``) at a time: an exact sum does not depend on
-    its order."""
-    wide = np.uint16 if a.dtype == b.dtype == np.uint8 else np.int32
-    strips = row_strips(a.shape)
-    total = sum(int(a[r].sum(dtype=np.int64)) for r in strips)
-    return total, sum(int(np.multiply(a[r], b[r], dtype=wide).sum(dtype=np.int64)) for r in strips)
-
-
 def _moments(a: np.ndarray, divisor: int = 1) -> tuple[float, float]:
     """The population mean and variance of ``a / divisor``.
 
     An integer ``a`` (uint8 samples on the 8-bit grid, an int16 band sum)
-    takes them from the exact sums of ``a`` and ``a ** 2`` (:func:`_sums`):
+    takes them from the exact int64 sum of ``a`` and the exact sum of
+    ``a ** 2`` (:func:`raster.exact_sum`):
     mean = sum / (n d) and variance = (n sum(a**2) - sum**2) / (n d)**2,
     each a Python int true division, so correctly rounded. The mean of
     uint8 samples then has the bits of ``np.mean``; a variance, and the
     mean of a band sum over 3, may differ from the float path's in the
-    last place. A float64 ``a`` (``divisor`` 1) keeps the
-    float path and its bits: the mean and variance of :func:`raster.moments`.
+    last place. A float64 ``a`` (``divisor`` 1) keeps the float path and
+    its bits, those of :func:`raster.moments`, but squares its one
+    centred plane in place, as nothing else reads it.
     """
     if a.dtype.kind == "f":
-        return moments(a)[::2]
-    (total, squares), scale = _sums(a, a), a.size * divisor
+        mean = float(np.mean(a))
+        centred = a - mean
+        return mean, float(np.mean(np.square(centred, out=centred)))
+    total, squares, scale = int(a.sum(dtype=np.int64)), exact_sum(a, a), a.size * divisor
     return total / scale, (a.size * squares - total * total) / (scale * scale)
 
 
@@ -85,18 +78,13 @@ def _mean_std_map(src: np.ndarray, ref_mean: float, ref_var: float):
     only the caller holds: ``(src[rows] - mean) * scale + ref_mean``, op
     for op.
 
-    The source's moments are taken once. On integers :func:`_moments`
-    takes them, so no centred or squared plane is made and each call
-    centres its rows afresh. On float64 :func:`raster.moments` does, and
-    the map scales and shifts its centred plane in place, returning views
-    of it, so each row must be taken at most once.
+    The source's moments are taken once, by :func:`_moments`, and each
+    call centres its rows afresh into a fresh array, then scales and
+    shifts it in place. So no whole centred plane outlives the moments,
+    and on integers none is made.
     """
-    if src.dtype.kind == "f":
-        mean, centred, var = moments(src)
-        take = lambda rows: centred if rows is None else centred[rows]
-    else:
-        mean, var = _moments(src)
-        take = lambda rows: (src if rows is None else src[rows]) - mean
+    mean, var = _moments(src)
+    take = lambda rows: (src if rows is None else src[rows]) - mean
     std = math.sqrt(var)
     if std < _DEGENERATE_STD:
         return lambda rows: np.full_like(take(rows), ref_mean)
@@ -117,10 +105,10 @@ def match_mean_std(src: np.ndarray, ref: np.ndarray) -> np.ndarray:
     out = mean(ref) + (src - mean(src)) * std(ref) / std(src), both
     population moments (:func:`_moments`). A source with std below 1e-9
     is degenerate and maps to the constant mean(ref). The result is a new
-    array: on float64 planes, the centred copy of ``src`` that its
-    variance is taken on, scaled and shifted in place, so the bits are
-    those of the formula written out. The reference's centred plane is
-    freed before the source's is made. ``src`` and ``ref`` are unchanged.
+    array: ``src`` minus its mean, scaled and shifted in place, so the
+    bits are those of the formula written out. Each centred plane that
+    a float64 variance is taken on is squared in place and freed before
+    the next is made. ``src`` and ``ref`` are unchanged.
     """
     return _mean_std_map(src, *_moments(ref))(None)
 
@@ -264,9 +252,9 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
 
     On the 8-bit grid (PAN and every band uint8) the slope is
     (n sum(pm) - sum(p) sum(m)) / (n sum(p**2) - sum(p)**2) of exact sums
-    (:func:`_sums`), rounded once, and a zero denominator is a constant
-    PAN. Off it, PAN's float moments are taken once for all bands and a
-    zero range is a constant PAN. A quantized band of a uint8 PAN is a
+    (:func:`raster.exact_sum`), rounded once, and a zero denominator is
+    a constant PAN. Off it, PAN's float moments are taken once for all
+    bands and a zero range is a constant PAN. A quantized band of a uint8 PAN is a
     function of PAN's DN alone: a 256-entry uint8 table, quantized once
     and gathered one strip at a time.
     """
@@ -275,10 +263,10 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     bands = [b.array for b in ms.bands]
     lines = []
     if all(a.dtype == np.uint8 for a in (p, *bands)):
-        (p_sum, p_squares), n = _sums(p, p), p.size
+        p_sum, p_squares, n = int(p.sum(dtype=np.int64)), exact_sum(p, p), p.size
         denominator = n * p_squares - p_sum * p_sum
         for m in bands:
-            m_sum, products = _sums(m, p)
+            m_sum, products = int(m.sum(dtype=np.int64)), exact_sum(m, p)
             slope = (n * products - p_sum * m_sum) / denominator if denominator else 0.0
             lines.append((m_sum / n - slope * (p_sum / n), slope))
     else:

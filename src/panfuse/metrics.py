@@ -30,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .filtering import laplacian_hp, window3x3
-from .raster import MultiBandImage, Raster, dn8, memoised, moments, require_same_grid
+from .raster import MultiBandImage, Raster, dn8, exact_sum, memoised, moments, require_same_grid
 
 __all__ = [
     "MetricRecord",
@@ -95,13 +95,13 @@ def _exact(f: Raster, m: Raster) -> bool:
 
 def _sum_squares(a: np.ndarray) -> float:
     """The sum of ``a ** 2``. An integer ``a``, uint8 samples or an int16
-    difference or Laplacian, is summed in int64; below 2**53, which a band
+    difference or Laplacian, is summed exactly by
+    :func:`raster.exact_sum`, strip by strip; below 2**53, which a band
     of under 1.38e11 pixels stays, that is the value ``np.sum`` gives in
     float64 in any order. A float64 ``a`` takes ``np.sum`` of its
     squares."""
     if a.dtype.kind in "iu":
-        square = np.square(a, dtype=np.uint16 if a.dtype == np.uint8 else np.int32)
-        return float(square.sum(dtype=np.int64))
+        return float(exact_sum(a, a))
     return float(np.sum(np.square(a, dtype=np.float64)))
 
 

@@ -396,24 +396,45 @@ def moments(a: np.ndarray) -> tuple[float, np.ndarray, float]:
     return mean, centred, float(np.mean(centred ** 2))
 
 
-# Pixels per row strip (see :func:`row_strips`): 2**17 float64 samples are
-# 1 MiB, so a strip's inputs and temporaries stay in a 2 MiB L2 cache.
-_STRIP_PIXELS = 1 << 17
+# Float64 pixels per row strip (see :func:`row_strips`): 2**15 float64
+# samples are 256 KiB, so a chain of up to eight live strips (the IHS
+# inverse reads three, writes three and makes two temporaries) stays in a
+# 2 MiB L2 cache.
+_STRIP_PIXELS = 1 << 15
 
 
-def row_strips(shape) -> list[slice]:
+def row_strips(shape, itemsize: int = 8) -> list[slice]:
     """Row slices that cover a plane of ``shape`` (height, width) in
-    order, each of at most ``_STRIP_PIXELS`` pixels and at least one row.
+    order, each of at least one row and at most the bytes of
+    ``_STRIP_PIXELS`` float64 samples in samples of ``itemsize`` bytes:
+    ``_STRIP_PIXELS`` pixels of a float64 chain, four times as many of an
+    int16 one.
 
-    Elementwise chains run strip by strip, so their temporaries stay
-    strip-sized and in cache; an elementwise IEEE operation gives the same
-    bits on a slice as on the whole plane. A float64 reduction stays
-    whole-plane, as its pairwise summation order fixes its bits; an exact
-    integer sum, as ``fusion`` takes on the 8-bit grid, may run by strip.
+    The size is a budget per chain, not per array: an elementwise chain
+    runs strip by strip, and all the strips it holds at once (its
+    operands, temporaries and outputs, up to eight) stay in cache
+    together; an elementwise IEEE operation gives the same bits on a
+    slice as on the whole plane. A chain of narrower samples fits the
+    same bytes in fewer strips, and each strip costs interpreter time per
+    operation, which a batch's pair threads contend for. A float64
+    reduction stays whole-plane, as its pairwise summation order fixes
+    its bits; an exact integer sum (:func:`exact_sum`) may run by strip.
     """
     height, width = shape
-    step = max(1, _STRIP_PIXELS // width)
+    step = max(1, _STRIP_PIXELS * 8 // itemsize // width)
     return [slice(y, min(y + step, height)) for y in range(0, height, step)]
+
+
+def exact_sum(a: np.ndarray, b: np.ndarray) -> int:
+    """The sum of ``a * b`` of two integer arrays of one shape, as an
+    exact Python int. Each product is taken in uint16 for two uint8
+    arrays, else in int32, and summed in int64, one row strip
+    (:func:`row_strips`, sized for ``a``'s samples) at a time: an exact
+    sum does not depend on its order, and no whole-plane product is
+    made."""
+    wide = np.uint16 if a.dtype == b.dtype == np.uint8 else np.int32
+    strips = row_strips(a.shape, a.itemsize)
+    return sum(int(np.multiply(a[r], b[r], dtype=wide).sum(dtype=np.int64)) for r in strips)
 
 
 def _clamp_round(a: np.ndarray, q: np.ndarray, out=None) -> None:

@@ -6,7 +6,8 @@ to 7 pixels, every result must equal the one built in a single strip, on
 shapes of one row, one column, a ragged last strip and rows wider than a
 strip. Built strip by strip, a quantized product holds no float64 plane,
 and SF, IHS, HSV, RVS, the stencils and ``synthesize`` drop each whole
-plane once it is dead.
+plane once it is dead. At the shipped strip size, every method and
+``synthesize`` stay below their measured peaks at 512x512.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ from panfuse.colorspace import ihs_forward, ihs_inverse
 from panfuse.filtering import box_lpf, window3x3
 from panfuse.fusion import (
     FUSION_METHODS,
+    fuse,
     fuse_ef,
     fuse_hfa,
     fuse_hsv,
@@ -59,9 +61,9 @@ def bits(result):
     return [(a.dtype, a.tobytes()) for a in arrays]
 
 
-def same_in_tiny_strips(monkeypatch, compute):
+def same_in_tiny_strips(monkeypatch, compute, pixels=TINY):
     whole = bits(compute())
-    monkeypatch.setattr(raster, "_STRIP_PIXELS", TINY)
+    monkeypatch.setattr(raster, "_STRIP_PIXELS", pixels)
     tiny = bits(compute())
     monkeypatch.undo()
     assert tiny == whole
@@ -70,12 +72,15 @@ def same_in_tiny_strips(monkeypatch, compute):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_strips_cover_every_row_once(monkeypatch, shape):
     monkeypatch.setattr(raster, "_STRIP_PIXELS", TINY)
-    strips = row_strips(shape)
-    assert [y for s in strips for y in range(s.start, s.stop)] == list(range(shape[0]))
-    # As many whole rows as fit in TINY pixels, but at least one.
-    step = max(1, TINY // shape[1])
-    assert [s.stop - s.start for s in strips[:-1]] == [step] * (len(strips) - 1)
-    assert 1 <= strips[-1].stop - strips[-1].start <= step
+    assert row_strips(shape) == row_strips(shape, 8)
+    for itemsize in (8, 2, 1):  # float64, int16 and uint8 samples
+        strips = row_strips(shape, itemsize)
+        assert [y for s in strips for y in range(s.start, s.stop)] == list(range(shape[0]))
+        # As many whole rows as fit in the bytes of TINY float64 pixels,
+        # but at least one.
+        step = max(1, TINY * 8 // itemsize // shape[1])
+        assert [s.stop - s.start for s in strips[:-1]] == [step] * (len(strips) - 1)
+        assert 1 <= strips[-1].stop - strips[-1].start <= step
 
 
 @pytest.mark.parametrize("quantize", [True, False])
@@ -117,9 +122,13 @@ def test_window3x3(monkeypatch, shape, dtype):
     x = rng.integers(0, 256, shape).astype(dtype)
     if dtype == np.float64:
         x += rng.uniform(0.0, 1.0, shape)
+    # Strips of integer samples take the same bytes in more pixels, so
+    # they are cut to the bytes of one float64 pixel: one row per float64
+    # strip, and as many rows as fit four int16 or eight uint8 pixels, at
+    # least one, so that every shape but one row takes several strips.
     for reductions in ((np.add,), (np.minimum, np.maximum)):
-        same_in_tiny_strips(monkeypatch, lambda: window3x3(x, *reductions))
-    monkeypatch.setattr(raster, "_STRIP_PIXELS", TINY)
+        same_in_tiny_strips(monkeypatch, lambda: window3x3(x, *reductions), pixels=1)
+    monkeypatch.setattr(raster, "_STRIP_PIXELS", 1)
     assert [r.dtype for r in window3x3(x, np.add, np.minimum)] == [np.dtype(dtype)] * 2
 
 
@@ -190,3 +199,33 @@ def test_stencil_and_synthesize_peaks(monkeypatch):
     }
     peaks = {name: peak_planes(call)[1] for name, (call, _) in calls.items()}
     assert {k: p for k, p in peaks.items() if p >= calls[k][1]} == {}
+
+
+# Traced peaks in float64 planes of a 512x512 pair at the shipped strip
+# size, each just above its measured value. A float64 strip is then 2**15
+# pixels, an eighth of the plane, so the strips a chain holds at once
+# count here. EF's peak is set by PAN's int16 Laplacian, whose strips take
+# four times as many pixels in the same bytes.
+SHIPPED_PEAK_BOUNDS = {
+    "SF": 6.5,
+    "IHS": 1.0,
+    "HSV": 1.2,
+    "HFA": 2.2,
+    "HFM": 2.0,
+    "RVS": 0.8,
+    "EF": 1.2,
+    "synthesize": 2.9,
+}
+
+
+def test_peaks_at_the_shipped_strip_size():
+    """One ``fuse`` per method, each on a pair of its own so that nothing
+    memoised on one PAN serves the next, and one ``synthesize``, as
+    ``tools/plane_peaks.py 512`` traces them."""
+    spec = SyntheticSpec(seed=0, width=PEAK_SIZE, height=PEAK_SIZE)
+    peaks = {"synthesize": peak_planes(lambda: synthesize(spec))[1]}
+    for method in FUSION_METHODS:
+        ms, pan, _ = synthesize(spec)
+        peaks[method] = peak_planes(lambda: fuse(method, ms, pan))[1]
+    over = {k: round(p, 2) for k, p in peaks.items() if p >= SHIPPED_PEAK_BOUNDS[k]}
+    assert over == {}
