@@ -1,6 +1,7 @@
 """CSV interchange and SVG chart generation."""
 
 import csv
+import hashlib
 import math
 import os
 import re
@@ -390,6 +391,42 @@ class TestSvgChart:
         assert "a&lt;b" in svg
         assert "S&amp;F" in svg
 
+
+# Fixed charts that between them draw every element: a subtitle, a
+# negative axis, a missing (pair, method) combination and names that need
+# escaping; a +inf bar with its mark and note; eleven methods, so that
+# the palette wraps. Each maps to the SHA-256 of its SVG text.
+PINNED_CHARTS = {
+    "escaped-negative-gap-subtitle": (
+        ("D&I <x>", ['a<b & "c"', "p'2"], ["S&F", "<IHS>", '"HSV"'],
+         {('a<b & "c"', "S&F"): -0.75, ('a<b & "c"', "<IHS>"): 0.3,
+          ('a<b & "c"', '"HSV"'): -0.0, ("p'2", "S&F"): 1.25, ("p'2", '"HSV"'): -2.5e-3},
+         "lower < better & 'so' \"on\""),
+        "5f7f3d2ca4f42be64f48f69b895d8e2865a70afb0f0c5cdb41d8c69119ccf3b5",
+    ),
+    "infinite": (
+        ("SNR", ["p1", "p2"], ["SF", "IHS"],
+         {("p1", "SF"): math.inf, ("p1", "IHS"): 25.0, ("p2", "SF"): 31.5,
+          ("p2", "IHS"): 5e-324},
+         None),
+        "83179569044a10f64d1b7ff2322da8174a792190bad1852b253bee1b2293d853",
+    ),
+    "palette-wrap": (
+        ("HPDI", ["p1", "p2", "p3"], [f"m{k}∞" for k in range(11)],
+         {(p, f"m{k}∞"): (k + 1) * 0.07 * (i + 1)
+          for i, p in enumerate(["p1", "p2", "p3"]) for k in range(11)},
+         "larger values indicate better spatial quality"),
+        "9c5901a4ca8b71049c6f19165115cf6369c0331d43e106573005e4f7f602709a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_CHARTS)
+def test_chart_bytes_are_pinned(case):
+    (metric, pairs, methods, values, subtitle), digest = PINNED_CHARTS[case]
+    values = {(metric, p, m): v for (p, m), v in values.items()}
+    svg = grouped_bar_chart_svg(metric, pairs, methods, values, subtitle=subtitle)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
 def svg_numbers(svg: str) -> list[float]:
     """Every coordinate and size attribute of ``svg``, which must parse."""
