@@ -73,10 +73,11 @@ def _moments(a: np.ndarray, divisor: int = 1) -> tuple[float, float]:
 
 def _mean_std_map(src: np.ndarray, ref_mean: float, ref_var: float):
     """The map :func:`match_mean_std` applies to ``src``, given the
-    reference's mean and variance, as a function of a row slice, or None
-    for every row, that returns those rows of its result, a float64 array
-    only the caller holds: ``(src[rows] - mean) * scale + ref_mean``, op
-    for op.
+    reference's mean and variance, as a function of a row slice that
+    returns those rows of its result, a float64 array only the caller
+    holds: ``(src[rows] - mean) * scale + ref_mean``, op for op. A
+    degenerate source has scale 0, which gives ``ref_mean`` exactly on
+    finite samples.
 
     The source's moments are taken once, by :func:`_moments`, and each
     call centres its rows afresh into a fresh array, then scales and
@@ -84,14 +85,11 @@ def _mean_std_map(src: np.ndarray, ref_mean: float, ref_var: float):
     and on integers none is made.
     """
     mean, var = _moments(src)
-    take = lambda rows: (src if rows is None else src[rows]) - mean
     std = math.sqrt(var)
-    if std < _DEGENERATE_STD:
-        return lambda rows: np.full_like(take(rows), ref_mean)
-    scale = math.sqrt(ref_var) / std
+    scale = 0.0 if std < _DEGENERATE_STD else math.sqrt(ref_var) / std
 
     def apply(rows):
-        out = take(rows)
+        out = src[rows] - mean
         out *= scale
         out += ref_mean
         return out
@@ -110,17 +108,18 @@ def match_mean_std(src: np.ndarray, ref: np.ndarray) -> np.ndarray:
     a float64 variance is taken on is squared in place and freed before
     the next is made. ``src`` and ``ref`` are unchanged.
     """
-    return _mean_std_map(src, *_moments(ref))(None)
+    return _mean_std_map(src, *_moments(ref))(slice(None))
 
 
-def _product(ms: MultiBandImage, strip, quantize: bool) -> MultiBandImage:
+def _product(ms: MultiBandImage, strip, quantize: bool, itemsize: int = 8) -> MultiBandImage:
     """The fused image of ``ms``'s grid whose rows ``rows`` (a slice) are
     ``strip(rows)``: an iterable of one fresh array per band of ``ms``,
     which only this call refers to: float64, or an integer array that
     holds the product exactly (EF's int16 sums, RVS's table gathers).
 
-    Quantized, the image is built one row strip (``raster.row_strips``)
-    at a time: each band's strip is rounded into that band's uint8 plane
+    Quantized, the image is built one row strip (``raster.row_strips``,
+    sized for the chain's samples of ``itemsize`` bytes) at a time: each
+    band's strip is rounded into that band's uint8 plane
     by ``raster.quantize_rows`` (a float64 strip checked, clamped in its
     own buffer and rounded; an integer one clamped) before the next band's
     strip is built, so no float64 plane is made and a non-finite sample
@@ -132,7 +131,7 @@ def _product(ms: MultiBandImage, strip, quantize: bool) -> MultiBandImage:
         return MultiBandImage(tuple(Raster(b) for b in strip(slice(None))))
     shape = (ms.height, ms.width)
     planes = [np.empty(shape, np.uint8) for _ in ms.bands]
-    for rows in row_strips(shape):
+    for rows in row_strips(shape, itemsize):
         for a, q in zip(strip(rows), planes):
             quantize_rows(a, q[rows])
     return MultiBandImage(tuple(Raster(q) for q in planes))
@@ -287,13 +286,13 @@ def fuse_ef(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiB
     """Edge fusion: each band gets PAN's Laplacian high-pass plane. A uint8
     band plus an int16 Laplacian (the 8-bit grid) is summed in int16,
     which holds 255 + 2040, and quantized by a clamp alone; any other sum
-    is taken in float64."""
+    is taken in float64. Row strips are sized for the widest sum."""
     require_same_grid(ms, pan, "fuse_ef")
     edges = laplacian_hp(pan).array
     bands = [(b.array, None if b.array.dtype == np.uint8 else np.float64) for b in ms.bands]
-    return _product(
-        ms, lambda rows: (np.add(b[rows], edges[rows], dtype=d) for b, d in bands), quantize
-    )
+    itemsize = max(np.result_type(b.dtype if d is None else d, edges).itemsize for b, d in bands)
+    sums = lambda rows: (np.add(b[rows], edges[rows], dtype=d) for b, d in bands)
+    return _product(ms, sums, quantize, itemsize)
 
 
 FUSION_METHODS = {

@@ -342,15 +342,11 @@ def save_pnm(image: Union[Raster, MultiBandImage], path) -> None:
     if len(bands) not in (1, 3):
         raise ValueError(f"unsupported band count {len(bands)} (must be 1 or 3)")
 
-    quantized = [dn8(clamp_quantize(b)) for b in bands]
+    # Stacked on a last axis, one band gives its own plane's bytes and
+    # three give P6's interleaved RGB order.
+    payload = np.stack([dn8(clamp_quantize(b)) for b in bands], axis=-1)
     w, h = bands[0].width, bands[0].height
     magic = b"P5" if len(bands) == 1 else b"P6"
-    if len(bands) == 1:
-        payload = quantized[0]
-    else:
-        payload = np.empty((h, w, 3), dtype=np.uint8)
-        for c, q in enumerate(quantized):
-            payload[:, :, c] = q
     with open(path, "wb") as f:
         f.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
         f.write(payload)

@@ -255,6 +255,15 @@ def _nice_ceil(v: float) -> float:
     return 10.0 * magnitude
 
 
+def _tag(name: str, text: str | None = None, **attrs) -> str:
+    """The SVG element ``name``: ``attrs`` in the order given, each
+    written with a trailing ``_`` dropped from its name (``class_``) and
+    every other ``_`` as ``-``, then ``text``, XML-escaped, as its
+    content, or no content if ``text`` is None."""
+    head = name + "".join([f' {k.rstrip("_").replace("_", "-")}="{v}"' for k, v in attrs.items()])
+    return f"<{head}/>" if text is None else f"<{head}>{escape(text)}</{name}>"
+
+
 def grouped_bar_chart_svg(
     metric: str,
     pairs: list[str],
@@ -284,35 +293,28 @@ def grouped_bar_chart_svg(
     def y_of(v: float) -> float:
         return top + plot_h * (1.0 - (v - vmin) / span)
 
-    out: list[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(
+    def text(x, y, size, fill, label: str, **attrs) -> str:
+        return _tag("text", label, x=x, y=y, font_size=size, fill=fill, **attrs)
+
+    def line(x1, y1, x2, y2, stroke: str) -> str:
+        return _tag("line", x1=x1, y1=y1, x2=x2, y2=y2, stroke=stroke, stroke_width=1)
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif">'
-    )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
-    out.append(
-        f'<text x="{left}" y="24" font-size="17" font-weight="bold" '
-        f'fill="#222222">{escape(metric)}</text>'
-    )
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
+        _tag("rect", x=0, y=0, width=width, height=height, fill="#ffffff"),
+        _tag("text", metric, x=left, y=24, font_size=17, font_weight="bold", fill="#222222"),
+    ]
     if subtitle:
-        out.append(
-            f'<text x="{left}" y="42" font-size="12" fill="#555555">'
-            f"{escape(subtitle)}</text>"
-        )
+        out.append(text(left, 42, 12, "#555555", subtitle))
 
     ticks = 5
     for t in range(ticks + 1):
         v = vmin + span * t / ticks
         y = y_of(v)
-        out.append(
-            f'<line x1="{left}" y1="{y:.2f}" x2="{left + plot_w}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{left - 8}" y="{y + 4:.2f}" font-size="11" fill="#333333" '
-            f'text-anchor="end">{v:g}</text>'
-        )
+        out.append(line(left, f"{y:.2f}", left + plot_w, f"{y:.2f}", "#dddddd"))
+        out.append(text(left - 8, f"{y + 4:.2f}", 11, "#333333", f"{v:g}", text_anchor="end"))
 
     slot = plot_w / len(pairs)
     group_w = slot * 0.8
@@ -326,56 +328,35 @@ def grouped_bar_chart_svg(
             if key not in values:
                 continue
             v = values[key]
-            color = _PALETTE[mi % len(_PALETTE)]
             x = gx + mi * bar_w
             # +inf is capped at the axis maximum; a finite value never exceeds it.
             y_v = y_of(min(v, vmax))
             y0, y1 = min(y_v, y_zero), max(y_v, y_zero)
-            out.append(
-                f'<rect x="{x:.2f}" y="{y0:.2f}" width="{bar_w:.2f}" '
-                f'height="{y1 - y0:.2f}" fill="{color}" class="bar"/>'
-            )
+            out.append(_tag(
+                "rect", x=f"{x:.2f}", y=f"{y0:.2f}", width=f"{bar_w:.2f}",
+                height=f"{y1 - y0:.2f}", fill=_PALETTE[mi % len(_PALETTE)], class_="bar",
+            ))
             if math.isinf(v):
-                out.append(
-                    f'<text x="{x + bar_w / 2:.2f}" y="{y0 - 3:.2f}" font-size="12" '
-                    f'fill="#222222" text-anchor="middle">∞</text>'
-                )
-        out.append(
-            f'<text x="{gx + group_w / 2:.2f}" y="{top + plot_h + 18}" font-size="11" '
-            f'fill="#333333" text-anchor="middle">{escape(pair)}</text>'
-        )
+                x_mid = f"{x + bar_w / 2:.2f}"
+                out.append(text(x_mid, f"{y0 - 3:.2f}", 12, "#222222", "∞", text_anchor="middle"))
+        x_mid = f"{gx + group_w / 2:.2f}"
+        out.append(text(x_mid, top + plot_h + 18, 11, "#333333", pair, text_anchor="middle"))
 
     # Axis frame and baseline.
-    out.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{left}" y1="{y_zero:.2f}" x2="{left + plot_w}" y2="{y_zero:.2f}" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
-    out.append(
-        f'<text x="18" y="{top + plot_h / 2:.2f}" font-size="12" fill="#222222" '
-        f'text-anchor="middle" transform="rotate(-90 18 {top + plot_h / 2:.2f})">'
-        f"{escape(metric)}</text>"
-    )
+    out.append(line(left, top, left, top + plot_h, "#333333"))
+    base = f"{y_zero:.2f}"
+    out.append(line(left, base, left + plot_w, base, "#333333"))
+    y_mid = f"{top + plot_h / 2:.2f}"
+    rotate = f"rotate(-90 18 {y_mid})"
+    out.append(text(18, y_mid, 12, "#222222", metric, text_anchor="middle", transform=rotate))
     if has_inf:
-        out.append(
-            f'<text x="{left}" y="{height - 12}" font-size="11" fill="#555555">'
-            "∞ bars are capped at the axis maximum</text>"
-        )
+        out.append(text(left, height - 12, 11, "#555555", "∞ bars are capped at the axis maximum"))
 
     lx = left + plot_w + 16
     for mi, method in enumerate(methods):
-        color = _PALETTE[mi % len(_PALETTE)]
         ly = top + mi * 20
-        out.append(
-            f'<rect x="{lx}" y="{ly}" width="12" height="12" fill="{color}"/>'
-        )
-        out.append(
-            f'<text x="{lx + 18}" y="{ly + 10}" font-size="12" fill="#222222">'
-            f"{escape(method)}</text>"
-        )
+        out.append(_tag("rect", x=lx, y=ly, width=12, height=12, fill=_PALETTE[mi % len(_PALETTE)]))
+        out.append(text(lx + 18, ly + 10, 12, "#222222", method))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
