@@ -29,32 +29,57 @@ def window3x3(x: np.ndarray, *reductions) -> list[np.ndarray]:
     """Reduce each 3x3 window of ``x`` under replicate padding, once per
     ufunc in ``reductions`` (``np.add``, ``np.minimum``, ``np.maximum``),
     into arrays of ``x``'s dtype, one row strip (``raster.row_strips``,
-    sized for ``x``'s samples) at a time. Each strip is copied into one
-    padded buffer with a halo row above and below, clamped at the plane's
-    edges, so no padded plane is made. Each reduction is taken separably
-    over three row-shifted slices of the buffer and then three
-    column-shifted ones, as ``f(f(a, b), c)``. For ``np.add`` on integral
-    DN every partial sum is an exact integer, so the order is immaterial;
-    min and max are exact in any order.
+    sized for ``x``'s samples) at a time: each strip is reduced by
+    :func:`window_rows` from its rows and a halo row above and below,
+    where the plane has them, so no padded plane is made.
     """
     h, w = x.shape
     out = [np.empty((h, w), x.dtype) for _ in reductions]
     strips = row_strips((h, w), x.itemsize)
-    padded = np.empty((strips[0].stop + 2, w + 2), x.dtype)
+    scratch = np.empty((2, strips[0].stop + 2, w + 2), x.dtype)
     for strip in strips:
         top, end = strip.start, strip.stop
-        n = end - top
-        # Replicate padding by slice assignment, a fraction of np.pad's cost.
-        p = padded[:n + 2]
-        p[1:-1, 1:-1] = x[strip]
-        p[0, 1:-1], p[-1, 1:-1] = x[max(top - 1, 0)], x[min(end, h - 1)]
-        p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
-        for f, plane in zip(reductions, out):
-            rows = f(p[0:n], p[1:n + 1])
-            f(rows, p[2:n + 2], out=rows)
-            window = f(rows[:, 0:w], rows[:, 1:w + 1], out=plane[strip])
-            f(window, rows[:, 2:w + 2], out=window)
+        rows = x[max(top - 1, 0):end + 1]
+        window_rows(rows, top == 0, end == h, reductions, scratch, [o[strip] for o in out])
     return out
+
+
+def window_rows(block, at_top, at_bottom, reductions, scratch, out) -> None:
+    """Reduce the 3x3 windows of the rows of ``block``, a run of rows of
+    a plane, once per ufunc in ``reductions``, into the arrays ``out``.
+
+    Only the plane's own edges are padded, by replicate: ``at_top`` and
+    ``at_bottom`` say whether ``block`` starts at the plane's first row
+    and ends at its last. A first or last row of ``block`` that is not
+    the plane's serves only as the halo of its neighbour, so ``out``
+    holds one row fewer at each such side. ``out`` may share memory with
+    ``block``, which is copied before any of ``out`` is written.
+    ``scratch``, of ``block``'s dtype and shape (2, at least ``block``'s
+    rows plus two, its columns plus two), takes the padded copy of
+    ``block`` and the row sums, so that no strip-sized array is allocated
+    per call. Each reduction is
+    taken separably over three row-shifted slices of the padded copy and
+    then three column-shifted ones, as ``f(f(a, b), c)``. For ``np.add``
+    on integral DN every partial sum is an exact integer, so the order is
+    immaterial; min and max are exact in any order.
+    """
+    n, w = block.shape
+    t = int(at_top)
+    # Replicate padding by slice assignment, a fraction of np.pad's cost.
+    p = scratch[0, :n + t + int(at_bottom)]
+    p[t:t + n, 1:-1] = block
+    if at_top:
+        p[0, 1:-1] = block[0]
+    if at_bottom:
+        p[-1, 1:-1] = block[-1]
+    p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
+    m = len(p) - 2
+    rows = scratch[1, :m]
+    for f, plane in zip(reductions, out):
+        f(p[0:m], p[1:m + 1], out=rows)
+        f(rows, p[2:m + 2], out=rows)
+        window = f(rows[:, 0:w], rows[:, 1:w + 1], out=plane)
+        f(window, rows[:, 2:w + 2], out=window)
 
 
 def stencil_input(r: Raster) -> np.ndarray:

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .colorspace import intensity
-from .filtering import box_lpf
-from .raster import MultiBandImage, Raster, clamp_quantize, resample_nearest, save_pnm
+from .filtering import window_rows
+from .raster import (MultiBandImage, Raster, clamp_quantize, quantize_rows, resample_nearest,
+                     row_strips, save_pnm)
 
 __all__ = ["SyntheticSpec", "synthesize", "generate_pair"]
 
@@ -50,36 +51,73 @@ class SyntheticSpec:
             )
 
 
-def _block_average(r: Raster, factor: int) -> Raster:
-    h, w = r.height // factor, r.width // factor
-    blocks = r.array.reshape(h, factor, w, factor)
-    return Raster(blocks.mean(axis=(1, 3)))
+def _block_average(a: np.ndarray, factor: int) -> np.ndarray:
+    """The mean of each ``factor`` x ``factor`` block of the uint8 plane
+    ``a``: its exact int64 sum, taken over strided views (rows, then
+    columns), divided by ``factor`` ** 2. ``np.mean`` sums integers
+    exactly in float64 and divides once, so these are its bits."""
+    rows = a[0::factor].astype(np.int64)
+    for i in range(1, factor):
+        rows += a[i::factor]
+    total = rows[:, 0::factor].copy()
+    for j in range(1, factor):
+        total += rows[:, j::factor]
+    return total / factor ** 2
+
+
+def _smoothed(noise: np.ndarray, passes: int) -> np.ndarray:
+    """``noise`` smoothed by ``passes`` box filters and quantized into a
+    new uint8 plane, one row strip (``raster.row_strips``) at a time.
+
+    Each strip takes the noise rows it needs, ``passes`` halo rows on
+    each side clamped at the plane's edges, and runs ``box_lpf``'s 3x3
+    window sum (``filtering.window_rows``) and division by 9 on them;
+    each pass leaves one halo row fewer on each side that has one, so
+    every pixel gets ``box_lpf``'s bits. Each pass writes over the last
+    one's sums in one strip buffer, so no whole float64 plane but
+    ``noise`` is made."""
+    h, w = noise.shape
+    q = np.empty((h, w), np.uint8)
+    strips = row_strips((h, w))
+    rows = strips[0].stop + 2 * passes
+    scratch = np.empty((2, rows + 2, w + 2))
+    sums = np.empty((rows, w))
+    for strip in strips:
+        lo, hi = max(strip.start - passes, 0), min(strip.stop + passes, h)
+        block = noise[lo:hi]
+        for _ in range(passes):
+            at_top, at_bottom = lo == 0, hi == h
+            lo, hi = lo + (not at_top), hi - (not at_bottom)
+            total = sums[:hi - lo]
+            window_rows(block, at_top, at_bottom, (np.add,), scratch, [total])
+            block = np.divide(total, 9.0, out=total)
+        quantize_rows(block[strip.start - lo:strip.stop - lo], q[strip])
+    return q
 
 
 def synthesize(spec: SyntheticSpec) -> tuple[MultiBandImage, Raster, MultiBandImage]:
     """Build (ms, pan, reference) in memory, deterministically from the seed.
 
     The reference is seeded uniform noise per channel, smoothed by
-    ``smoothing_passes`` box filters and quantized. PAN is the quantized
-    intensity (band mean) of the reference; MS is the reference block
-    averaged by ``scale_factor`` and nearest-upsampled back to full size.
+    ``smoothing_passes`` box filters and quantized (see :func:`_smoothed`).
+    PAN is the quantized intensity (band mean) of the reference, built
+    strip by strip; MS is the reference block averaged by
+    ``scale_factor`` and nearest-upsampled back to full size.
     """
     rng = np.random.default_rng(spec.seed)
-    channels = []
-    for _ in range(3):
-        plane = Raster(rng.uniform(0.0, 255.0, size=(spec.height, spec.width)))
-        for _ in range(spec.smoothing_passes):
-            plane = box_lpf(plane)
-        channels.append(clamp_quantize(plane))
-    reference = MultiBandImage(tuple(channels))
-
-    pan = clamp_quantize(Raster(intensity(*(b.array for b in reference.bands))))
+    shape = (spec.height, spec.width)
+    channels = [
+        _smoothed(rng.uniform(0.0, 255.0, size=shape), spec.smoothing_passes) for _ in range(3)
+    ]
+    pan = np.empty(shape, np.uint8)
+    for rows in row_strips(shape):
+        quantize_rows(intensity(*(c[rows] for c in channels)), pan[rows])
 
     coarse = tuple(
-        clamp_quantize(_block_average(b, spec.scale_factor)) for b in reference.bands
+        clamp_quantize(Raster(_block_average(c, spec.scale_factor))) for c in channels
     )
     ms = resample_nearest(MultiBandImage(coarse), spec.width, spec.height)
-    return ms, pan, reference
+    return ms, Raster(pan), MultiBandImage(tuple(Raster(c) for c in channels))
 
 
 def generate_pair(spec: SyntheticSpec, out_dir) -> tuple[Path, Path, Path]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from panfuse.raster import load_pnm
-from panfuse.synthetic import SyntheticSpec, generate_pair, synthesize
+from panfuse.synthetic import SyntheticSpec, _block_average, generate_pair, synthesize
 
 
 def block_average_oracle(a, factor):
@@ -79,12 +79,22 @@ class TestSynthesize:
                     assert len(set(block.ravel())) == 1
 
     def test_ms_blocks_average_the_reference(self):
-        spec = SyntheticSpec(seed=7, width=8, height=8, scale_factor=2)
-        ms, _, reference = synthesize(spec)
-        for ms_band, ref_band in zip(ms.bands, reference.bands):
-            coarse = block_average_oracle(ref_band.samples, 2)
-            quantized = np.floor(np.clip(coarse, 0, 255) + 0.5)
-            assert np.array_equal(ms_band.samples[::2, ::2], quantized)
+        for f, (w, h) in {2: (8, 8), 3: (12, 9), 17: (34, 17)}.items():
+            spec = SyntheticSpec(seed=7, width=w, height=h, scale_factor=f)
+            ms, _, reference = synthesize(spec)
+            for ms_band, ref_band in zip(ms.bands, reference.bands):
+                coarse = block_average_oracle(ref_band.samples, f)
+                quantized = np.floor(np.clip(coarse, 0, 255) + 0.5)
+                assert np.array_equal(ms_band.samples[::f, ::f], quantized)
+
+    def test_bright_block_sums_beyond_uint16_are_exact(self):
+        # A smoothed reference stays near mid-grey, so its 17x17 block
+        # sums fit uint16; these reach 17 * 17 * 255 = 73,695.
+        bright = np.random.default_rng(3).integers(200, 256, (34, 51)).astype(np.uint8)
+        bright[:17, :17] = 255
+        means = _block_average(bright, 17)
+        assert means[0, 0] == 255.0
+        assert np.array_equal(means, block_average_oracle(bright.astype(np.float64), 17))
 
     def test_zero_smoothing_passes(self):
         ms, pan, reference = synthesize(
