@@ -10,7 +10,7 @@ from .raster import (
     save_pnm,
 )
 from .filtering import box_lpf, laplacian_hp, unsharp_mask
-from .colorspace import HsvPlanes, IhsPlanes, hsv_forward, hsv_inverse, ihs_forward, ihs_inverse
+from .colorspace import hsv_forward, hsv_inverse, ihs_forward, ihs_inverse
 from .fusion import (
     FUSION_METHODS,
     METHOD_NAMES,

@@ -3,21 +3,20 @@
 The IHS variant is the linear triangular model: intensity is the band mean
 and the chromatic state rides in two carrier planes (v1, v2) instead of
 hue/saturation angles, so forward-then-inverse is exact linear algebra with
-no trigonometric round-trip loss. Hue and saturation are derived views.
+no trigonometric round-trip loss: hue is atan2(v2, v1) and saturation
+hypot(v1, v2). Each transform maps a three-band MultiBandImage to another
+of the same size: RGB to (I, v1, v2) or hexcone (H, S, V), and back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .raster import MultiBandImage, Raster, row_strips
 
 __all__ = [
-    "IhsPlanes",
-    "HsvPlanes",
     "intensity",
     "ihs_forward",
     "ihs_inverse",
@@ -29,52 +28,9 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT6 = math.sqrt(6.0)
 
 
-@dataclass(frozen=True, eq=False)
-class IhsPlanes:
-    """Intensity plane plus the two chromatic carrier planes.
-
-    Hue is atan2(v2, v1) and saturation is sqrt(v1^2 + v2^2); both are
-    derived on demand so substituting the intensity plane leaves the
-    chromatic state bit-identical.
-    """
-
-    i: Raster
-    v1: Raster
-    v2: Raster
-
-    def __post_init__(self):
-        dims = {(p.width, p.height) for p in (self.i, self.v1, self.v2)}
-        if len(dims) != 1:
-            raise ValueError(f"plane dimensions disagree: {sorted(dims)}")
-
-    def hue(self) -> Raster:
-        """Hue angle in radians, atan2(v2, v1); 0 where saturation is 0."""
-        return Raster(np.arctan2(self.v2.samples, self.v1.samples))
-
-    def saturation(self) -> Raster:
-        return Raster(np.hypot(self.v1.samples, self.v2.samples))
-
-    def with_intensity(self, i: Raster) -> "IhsPlanes":
-        """New planes with a substituted intensity; v1 and v2 are shared."""
-        return IhsPlanes(i=i, v1=self.v1, v2=self.v2)
-
-
-@dataclass(frozen=True, eq=False)
-class HsvPlanes:
-    """Hexcone hue (degrees in [0, 360)), saturation in [0, 1], value in DN."""
-
-    h: Raster
-    s: Raster
-    v: Raster
-
-    def __post_init__(self):
-        dims = {(p.width, p.height) for p in (self.h, self.s, self.v)}
-        if len(dims) != 1:
-            raise ValueError(f"plane dimensions disagree: {sorted(dims)}")
-
-
 def _require_rgb(image: MultiBandImage, op: str) -> tuple:
-    """The bands' ``Raster.array``: uint8 for 8-bit bands."""
+    """The three bands' ``Raster.array`` (uint8 for 8-bit bands); raises
+    ValueError, naming ``op``, unless there are exactly three."""
     if image.band_count != 3:
         raise ValueError(f"{op} requires exactly 3 bands, got {image.band_count}")
     return tuple(b.array for b in image.bands)
@@ -89,7 +45,7 @@ def intensity(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return i
 
 
-def ihs_forward(rgb: MultiBandImage) -> IhsPlanes:
+def ihs_forward(rgb: MultiBandImage) -> MultiBandImage:
     """RGB to (I, v1, v2): I = (R+G+B)/3, v1 = (-R-G+2B)/sqrt(6),
     v2 = (R-G)/sqrt(2); the planes are built one row strip
     (``raster.row_strips``) at a time."""
@@ -105,16 +61,14 @@ def ihs_forward(rgb: MultiBandImage) -> IhsPlanes:
         v1_rows /= _SQRT6
         v2_rows = np.subtract(r[rows], g[rows], out=v2[rows], dtype=np.float64)
         v2_rows /= _SQRT2
-    return IhsPlanes(i=Raster(i), v1=Raster(v1), v2=Raster(v2))
+    return MultiBandImage((Raster(i), Raster(v1), Raster(v2)))
 
 
-def ihs_inverse(planes: IhsPlanes) -> MultiBandImage:
+def ihs_inverse(ihs: MultiBandImage) -> MultiBandImage:
     """(I, v1, v2) back to RGB, one row strip (``raster.row_strips``) at a
     time. Output is not clamped; clamping is the fusion pipeline's final
-    step."""
-    i = planes.i.samples
-    v1 = planes.v1.samples
-    v2 = planes.v2.samples
+    step. Integer planes are promoted to float64 by every op, exactly."""
+    i, v1, v2 = _require_rgb(ihs, "ihs_inverse")
     r, g, b = (np.empty(i.shape) for _ in range(3))
     for rows in row_strips(i.shape):
         # i - v1/sqrt(6) +- v2/sqrt(2) and i + (2 v1)/sqrt(6), op for op,
@@ -131,7 +85,7 @@ def ihs_inverse(planes: IhsPlanes) -> MultiBandImage:
     return MultiBandImage((Raster(r), Raster(g), Raster(b)))
 
 
-def hsv_forward(rgb: MultiBandImage) -> HsvPlanes:
+def hsv_forward(rgb: MultiBandImage) -> MultiBandImage:
     """RGB in [0, 255] to hexcone HSV; hue fixed at 0 where saturation is 0."""
     r, g, b = (np.asarray(x, dtype=np.float64) for x in _require_rgb(rgb, "hsv_forward"))
     v = np.maximum(np.maximum(r, g), b)
@@ -151,18 +105,17 @@ def hsv_forward(rgb: MultiBandImage) -> HsvPlanes:
     )
     # Rounding in the mod-6 branch can land exactly on 360.
     h = np.where(h >= 360.0, h - 360.0, h)
-    return HsvPlanes(h=Raster(h), s=Raster(s), v=Raster(v))
+    return MultiBandImage((Raster(h), Raster(s), Raster(v)))
 
 
-def hsv_inverse(planes: HsvPlanes) -> MultiBandImage:
-    """Hexcone HSV back to RGB; exact inverse of hsv_forward on its range."""
-    s = planes.s.samples
-    v = planes.v.samples
+def hsv_inverse(hsv: MultiBandImage) -> MultiBandImage:
+    """Hexcone (H, S, V) back to RGB; exact inverse of hsv_forward on its range."""
+    h, s, v = (np.asarray(x, dtype=np.float64) for x in _require_rgb(hsv, "hsv_inverse"))
     if np.any(s < 0.0) or np.any(s > 1.0):
         raise ValueError("out-of-range saturation (must be in [0, 1])")
     if np.any(v < 0.0) or np.any(v > 255.0):
         raise ValueError("out-of-range value (must be in [0, 255])")
-    hp = np.mod(planes.h.samples, 360.0) / 60.0
+    hp = np.mod(h, 360.0) / 60.0
 
     c = v * s
     x = c * (1.0 - np.abs(np.mod(hp, 2.0) - 1.0))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .colorspace import _require_rgb, ihs_forward, ihs_inverse, intensity
-# Unused: perfbench/tracer.py wraps them by attribute until ROADMAP item 1.
+# Unused: perfbench/tracer.py wraps them by attribute until ROADMAP item 1a.
 from .colorspace import hsv_forward, hsv_inverse  # noqa: F401
 from .filtering import box_lpf, laplacian_hp, unsharp_mask
 from .raster import (
@@ -147,16 +147,16 @@ def fuse_sf(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiB
     saturation are preserved wherever the image is not homogeneous.
     """
     require_same_grid(ms, pan, "fuse_sf")
-    planes = ihs_forward(ms)
-    i_star = Raster(box_lpf(planes.i).samples + unsharp_mask(pan).samples)
+    i, v1, v2 = ihs_forward(ms).bands
+    i_star = Raster(box_lpf(i).samples + unsharp_mask(pan).samples)
     # Each plane is dropped once it is dead: i_star and the forward
     # intensity before the inverse, which then holds only the matched
     # intensity, v1, v2 and its three outputs, and those inputs before
     # quantizing.
-    planes = planes.with_intensity(Raster(match_mean_std(i_star.samples, planes.i.samples)))
-    del i_star
-    fused = ihs_inverse(planes)
-    del planes
+    matched = Raster(match_mean_std(i_star.samples, i.samples))
+    del i_star, i
+    fused = ihs_inverse(MultiBandImage((matched, v1, v2)))
+    del matched, v1, v2
     if not quantize:
         return fused
     return MultiBandImage(tuple(clamp_quantize(b) for b in fused.bands))

@@ -21,6 +21,16 @@ from panfuse.report import CSV_HEADER, read_csv
 from panfuse.synthetic import SyntheticSpec, generate_pair
 
 ROWS_PER_PRODUCT = len(METRIC_ORDER) * 4  # 3 bands + the avg row
+# More digits than int() converts: its limit is 4,300 since Python 3.11
+# and 3.10.7, and 0 lifts it.
+TOO_MANY_DIGITS = pytest.param(
+    "9" * 5000,
+    id="5000-digits",
+    marks=pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="int() converts 5,000 digits",
+    ),
+)
 
 
 @pytest.fixture()
@@ -306,6 +316,15 @@ class TestGenSyntheticCommand:
         )
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_zero_width_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        code = main(
+            ["gen-synthetic", "--seed", "0", "--width", "0", "--height", "4", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: dimensions must be >= 1, got 0x4\n"
         assert not out.exists()
 
     def test_invalid_spec_is_usage_error(self, tmp_path, capsys):
@@ -821,7 +840,9 @@ class TestBatchCommand:
         assert main(["batch", "--manifest", str(manifest)]) == EXIT_USAGE
         assert "PANFUSE_THREADS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["1_0", "+2", " 2", "2 ", "\u0663", "", "0", "00"])
+    @pytest.mark.parametrize(
+        "value", ["1_0", "+2", " 2", "2 ", "\u0663", "", "0", "00", TOO_MANY_DIGITS]
+    )
     def test_thread_env_plain_ascii_digits_only(self, value, tmp_path, capsys, monkeypatch):
         manifest, _ = batch_manifest(tmp_path, n_pairs=1, methods=("SF",))
         # As UTF-8 bytes, which os.environ decodes by the file system encoding:

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panfuse.colorspace import (
-    HsvPlanes,
-    IhsPlanes,
-    hsv_forward,
-    hsv_inverse,
-    ihs_forward,
-    ihs_inverse,
-)
+from panfuse.colorspace import hsv_forward, hsv_inverse, ihs_forward, ihs_inverse
 from panfuse.raster import MultiBandImage, Raster
 
 SQRT2 = math.sqrt(2.0)
@@ -52,24 +45,22 @@ def max_band_error(a, b):
     )
 
 
+def first_pixels(image):
+    return tuple(b.samples[0, 0] for b in image.bands)
+
+
 class TestIhsForward:
     def test_gray_axis(self):
-        planes = ihs_forward(single_pixel(90, 90, 90))
-        assert planes.i.samples[0, 0] == 90.0
-        assert planes.v1.samples[0, 0] == 0.0
-        assert planes.v2.samples[0, 0] == 0.0
+        assert first_pixels(ihs_forward(single_pixel(90, 90, 90))) == (90.0, 0.0, 0.0)
 
     def test_pure_red(self):
-        planes = ihs_forward(single_pixel(255, 0, 0))
-        assert planes.i.samples[0, 0] == pytest.approx(85.0)
-        assert planes.v1.samples[0, 0] == pytest.approx(-255.0 / SQRT6)
-        assert planes.v2.samples[0, 0] == pytest.approx(255.0 / SQRT2)
+        got = first_pixels(ihs_forward(single_pixel(255, 0, 0)))
+        assert got == pytest.approx((85.0, -255.0 / SQRT6, 255.0 / SQRT2))
 
     def test_intensity_is_band_mean(self):
         img = seeded_rgb(8, 8, 0)
-        planes = ihs_forward(img)
         mean = (img.bands[0].samples + img.bands[1].samples + img.bands[2].samples) / 3.0
-        assert np.array_equal(planes.i.samples, mean)
+        assert np.array_equal(ihs_forward(img).bands[0].samples, mean)
 
     def test_requires_three_bands(self):
         one = MultiBandImage((Raster(np.zeros((2, 2))),))
@@ -79,14 +70,7 @@ class TestIhsForward:
 
 class TestIhsInverse:
     def test_gray(self):
-        planes = IhsPlanes(
-            i=Raster(np.array([[90.0]])),
-            v1=Raster(np.array([[0.0]])),
-            v2=Raster(np.array([[0.0]])),
-        )
-        out = ihs_inverse(planes)
-        for band in out.bands:
-            assert band.samples[0, 0] == 90.0
+        assert first_pixels(ihs_inverse(single_pixel(90.0, 0.0, 0.0))) == (90.0, 90.0, 90.0)
 
     def test_round_trip(self):
         img = seeded_rgb(16, 16, 1)
@@ -111,47 +95,29 @@ class TestIhsInverse:
 
     def test_intensity_shift_moves_all_bands_equally(self):
         img = seeded_rgb(4, 4, 2)
-        planes = ihs_forward(img)
-        shifted = planes.with_intensity(Raster(planes.i.samples + 10.0))
-        out = ihs_inverse(shifted)
+        i, v1, v2 = ihs_forward(img).bands
+        out = ihs_inverse(MultiBandImage((Raster(i.samples + 10.0), v1, v2)))
         for a, b in zip(out.bands, img.bands):
             assert np.allclose(a.samples - b.samples, 10.0, atol=1e-9)
 
     def test_output_not_clamped(self):
-        planes = IhsPlanes(
-            i=Raster(np.array([[300.0]])),
-            v1=Raster(np.array([[0.0]])),
-            v2=Raster(np.array([[0.0]])),
-        )
-        assert ihs_inverse(planes).bands[0].samples[0, 0] == 300.0
+        assert ihs_inverse(single_pixel(300.0, 0.0, 0.0)).bands[0].samples[0, 0] == 300.0
 
 
 class TestIhsPlanes:
     def test_dims_must_agree(self):
-        with pytest.raises(ValueError, match="disagree"):
-            IhsPlanes(
-                i=Raster(np.zeros((2, 2))),
-                v1=Raster(np.zeros((2, 3))),
-                v2=Raster(np.zeros((2, 2))),
+        with pytest.raises(ValueError, match="^band 1 is 3x2, expected 2x2$"):
+            MultiBandImage(
+                (Raster(np.zeros((2, 2))), Raster(np.zeros((2, 3))), Raster(np.zeros((2, 2))))
             )
 
-    def test_substitution_shares_chromatic_planes(self):
-        planes = ihs_forward(seeded_rgb(4, 4, 5))
-        swapped = planes.with_intensity(Raster(np.full((4, 4), 10.0)))
-        assert swapped.v1 is planes.v1
-        assert swapped.v2 is planes.v2
 
-    def test_hue_saturation_views(self):
-        planes = ihs_forward(single_pixel(255, 0, 0))
-        v1 = -255.0 / SQRT6
-        v2 = 255.0 / SQRT2
-        assert planes.hue().samples[0, 0] == pytest.approx(math.atan2(v2, v1))
-        assert planes.saturation().samples[0, 0] == pytest.approx(math.hypot(v1, v2))
-
-    def test_gray_hue_fixed_at_zero(self):
-        planes = ihs_forward(single_pixel(30, 30, 30))
-        assert planes.hue().samples[0, 0] == 0.0
-        assert planes.saturation().samples[0, 0] == 0.0
+@pytest.mark.parametrize("inverse", [ihs_inverse, hsv_inverse])
+@pytest.mark.parametrize("bands", [2, 4])
+def test_inverses_require_three_bands(inverse, bands):
+    image = MultiBandImage(tuple(Raster(np.zeros((2, 2))) for _ in range(bands)))
+    with pytest.raises(ValueError, match=f"^{inverse.__name__} requires exactly 3 bands, got {bands}$"):
+        inverse(image)
 
 
 class TestHsvForward:
@@ -169,56 +135,35 @@ class TestHsvForward:
         ],
     )
     def test_known_colors(self, rgb, expected):
-        planes = hsv_forward(single_pixel(*rgb))
-        got = (
-            planes.h.samples[0, 0],
-            planes.s.samples[0, 0],
-            planes.v.samples[0, 0],
-        )
+        got = first_pixels(hsv_forward(single_pixel(*rgb)))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_hue_range(self):
-        planes = hsv_forward(seeded_rgb(32, 32, 7))
-        h = planes.h.samples
+        h, s, _ = (b.samples for b in hsv_forward(seeded_rgb(32, 32, 7)).bands)
         assert np.all((h >= 0.0) & (h < 360.0))
-        assert np.all((planes.s.samples >= 0.0) & (planes.s.samples <= 1.0))
+        assert np.all((s >= 0.0) & (s <= 1.0))
 
     def test_max_tie_prefers_red_then_green(self):
         # v == r branch wins the (200, 200, 100) tie
-        planes = hsv_forward(single_pixel(200, 200, 100))
-        assert planes.h.samples[0, 0] == pytest.approx(60.0)
+        assert first_pixels(hsv_forward(single_pixel(200, 200, 100)))[0] == pytest.approx(60.0)
         # v == g branch for (100, 200, 200)
-        planes = hsv_forward(single_pixel(100, 200, 200))
-        assert planes.h.samples[0, 0] == pytest.approx(180.0)
+        assert first_pixels(hsv_forward(single_pixel(100, 200, 200)))[0] == pytest.approx(180.0)
 
 
 class TestHsvInverse:
     def test_pure_red(self):
-        planes = HsvPlanes(
-            h=Raster(np.array([[0.0]])),
-            s=Raster(np.array([[1.0]])),
-            v=Raster(np.array([[255.0]])),
-        )
-        out = hsv_inverse(planes)
-        assert [b.samples[0, 0] for b in out.bands] == [255.0, 0.0, 0.0]
+        assert first_pixels(hsv_inverse(single_pixel(0.0, 1.0, 255.0))) == (255.0, 0.0, 0.0)
 
     def test_zero_saturation_gives_gray(self):
-        planes = HsvPlanes(
-            h=Raster(np.array([[123.0]])),
-            s=Raster(np.array([[0.0]])),
-            v=Raster(np.array([[77.0]])),
-        )
-        out = hsv_inverse(planes)
-        assert all(b.samples[0, 0] == 77.0 for b in out.bands)
+        assert first_pixels(hsv_inverse(single_pixel(123.0, 0.0, 77.0))) == (77.0, 77.0, 77.0)
 
     def test_out_of_range_rejected(self):
-        h = Raster(np.array([[0.0]]))
         with pytest.raises(ValueError, match="out-of-range saturation"):
-            hsv_inverse(HsvPlanes(h=h, s=Raster(np.array([[1.5]])), v=Raster(np.array([[1.0]]))))
+            hsv_inverse(single_pixel(0.0, 1.5, 1.0))
         with pytest.raises(ValueError, match="out-of-range value"):
-            hsv_inverse(HsvPlanes(h=h, s=Raster(np.array([[0.5]])), v=Raster(np.array([[300.0]]))))
+            hsv_inverse(single_pixel(0.0, 0.5, 300.0))
         with pytest.raises(ValueError, match="out-of-range value"):
-            hsv_inverse(HsvPlanes(h=h, s=Raster(np.array([[0.5]])), v=Raster(np.array([[-1.0]]))))
+            hsv_inverse(single_pixel(0.0, 0.5, -1.0))
 
     def test_round_trip_integral(self):
         img = seeded_rgb(64, 64, 8)

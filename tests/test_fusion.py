@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from panfuse.colorspace import HsvPlanes, hsv_forward, hsv_inverse, ihs_forward, ihs_inverse
+from panfuse.colorspace import hsv_forward, hsv_inverse, ihs_forward, ihs_inverse
 from panfuse.fusion import (
     FUSION_METHODS,
     METHOD_NAMES,
@@ -314,7 +314,7 @@ class TestFitBandRegression:
 class TestFuseSf:
     def test_self_fusion_identity(self):
         ms, _ = synthetic_pair(0, size=16)
-        pan = Raster(ihs_forward(ms).i.samples.copy())
+        pan = Raster(ihs_forward(ms).bands[0].samples.copy())
         assert bands_equal(fuse_sf(ms, pan), MultiBandImage(tuple(clamp_quantize(b) for b in ms.bands)))
 
     def test_constant_pair_passthrough(self):
@@ -354,7 +354,7 @@ class TestFuseSf:
 class TestFuseIhs:
     def test_self_fusion_identity(self):
         ms, _ = synthetic_pair(1, size=16)
-        pan = Raster(ihs_forward(ms).i.samples.copy())
+        pan = Raster(ihs_forward(ms).bands[0].samples.copy())
         assert bands_equal(fuse_ihs(ms, pan), ms)
 
     def test_gray_ms_bands_become_matched_pan(self):
@@ -382,7 +382,7 @@ class TestFuseIhs:
 class TestFuseHsv:
     def test_self_fusion_identity(self):
         ms, _ = synthetic_pair(2, size=16)
-        pan = Raster(hsv_forward(ms).v.samples.copy())
+        pan = Raster(hsv_forward(ms).bands[2].samples.copy())
         assert bands_equal(fuse_hsv(ms, pan), ms)
 
     def test_matches_straight_line_oracle(self):
@@ -415,16 +415,16 @@ class TestFuseHsv:
 
 def transform_ihs(ms, pan):
     """IHS fusion by colorspace's forward and inverse transforms."""
-    planes = ihs_forward(ms)
-    matched = match_mean_std(pan.samples, planes.i.samples)
-    return ihs_inverse(planes.with_intensity(Raster(matched)))
+    i, v1, v2 = ihs_forward(ms).bands
+    matched = match_mean_std(pan.samples, i.samples)
+    return ihs_inverse(MultiBandImage((Raster(matched), v1, v2)))
 
 
 def transform_hsv(ms, pan):
     """HSV fusion by colorspace's hexcone forward and inverse transforms."""
-    planes = hsv_forward(ms)
-    matched = np.clip(match_mean_std(pan.samples, planes.v.samples), 0.0, 255.0)
-    return hsv_inverse(HsvPlanes(h=planes.h, s=planes.s, v=Raster(matched)))
+    h, s, v = hsv_forward(ms).bands
+    matched = np.clip(match_mean_std(pan.samples, v.samples), 0.0, 255.0)
+    return hsv_inverse(MultiBandImage((h, s, Raster(matched))))
 
 
 DN = st.integers(0, 255)
@@ -470,11 +470,11 @@ class TestClosedFormsMatchTransforms:
 
     def test_example_clips_at_both_ends(self):
         ms, pan = BLACK_GRAY_CLIPPED
-        v = hsv_forward(ms).v
+        _, s, v = hsv_forward(ms).bands
         matched = match_mean_std(pan.samples, v.samples)
         assert matched.min() < 0.0 and matched.max() > 255.0
         assert np.any(v.samples == 0.0)
-        assert np.any((v.samples > 0.0) & (hsv_forward(ms).s.samples == 0.0))
+        assert np.any((v.samples > 0.0) & (s.samples == 0.0))
 
     @given(ms_pan_pairs())
     @example(BLACK_GRAY_CLIPPED)
@@ -714,9 +714,9 @@ class TestSelfFusionAcrossMethods:
         quantized = MultiBandImage(tuple(clamp_quantize(b) for b in ms.bands))
         constant = Raster(np.full((16, 16), 75.0))
         cases = [
-            fuse_sf(ms, Raster(ihs_forward(ms).i.samples.copy())),
-            fuse_ihs(ms, Raster(ihs_forward(ms).i.samples.copy())),
-            fuse_hsv(ms, Raster(hsv_forward(ms).v.samples.copy())),
+            fuse_sf(ms, Raster(ihs_forward(ms).bands[0].samples.copy())),
+            fuse_ihs(ms, Raster(ihs_forward(ms).bands[0].samples.copy())),
+            fuse_hsv(ms, Raster(hsv_forward(ms).bands[2].samples.copy())),
             fuse_hfa(ms, constant),
             fuse_hfm(ms, constant),
             fuse_ef(ms, constant),

@@ -738,6 +738,12 @@ class TestSavePnm:
                 save_pnm(x, path)
                 assert np.array_equal(load_pnm(path).samples, want)
 
+    def test_rejects_what_is_not_an_image(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        with pytest.raises(TypeError, match="^cannot save int$"):
+            save_pnm(5, path)
+        assert not path.exists()
+
     def test_rejects_other_band_counts(self, tmp_path):
         two = MultiBandImage(tuple(Raster(np.zeros((2, 2))) for _ in range(2)))
         with pytest.raises(ValueError, match="unsupported band count"):

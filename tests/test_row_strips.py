@@ -120,7 +120,7 @@ def test_quantize_save_and_ihs_transforms(monkeypatch, shape, tmp_path):
 
         same_in_tiny_strips(monkeypatch, lambda: [clamp_quantize(b) for b in spread.bands])
         same_in_tiny_strips(monkeypatch, saved)
-        same_in_tiny_strips(monkeypatch, lambda: [(p := ihs_forward(ms)).i, p.v1, p.v2])
+        same_in_tiny_strips(monkeypatch, lambda: ihs_forward(ms))
         same_in_tiny_strips(monkeypatch, lambda: ihs_inverse(ihs_forward(spread)))
 
 

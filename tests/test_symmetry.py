@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panfuse.fusion import METHOD_NAMES, fuse
-from panfuse.raster import MultiBandImage, Raster
+from panfuse.metrics import evaluate_all
+from panfuse.raster import MultiBandImage, Raster, resample_nearest
 from panfuse.synthetic import SyntheticSpec, synthesize
 
 TRANSFORMS = {
@@ -74,3 +75,38 @@ def test_random_dn_fuse_symmetrically(planes):
 def test_synthetic_pairs_fuse_symmetrically(seed, width, height):
     ms, pan, _ = synthesize(SyntheticSpec(seed=seed, width=width, height=height))
     assert_symmetric(ms, pan)
+
+
+# Exact on the 8-bit grid: SNR and NRMSE are ratios of exact integer sums
+# of squares, and excluded_pixels counts zeros. DI, HPDI and the two CSA
+# contrasts are float means of ratios, whose bits depend on the order they
+# are summed in, which a flip or transpose changes; FCC's variances are
+# float sums too, in no fixed order. Those five are left out.
+ORDER_FREE = ("SNR", "NRMSE")
+
+
+def order_free_rows(ms, pan, product, method):
+    """(band, metric, excluded_pixels, value hex or None) of every row of
+    ``evaluate_all``; the value only for the ORDER_FREE metrics."""
+    return [
+        (r.band, r.metric, r.excluded_pixels, r.value.hex() if r.metric in ORDER_FREE else None)
+        for r in evaluate_all(ms, pan, product, "p", method)
+    ]
+
+
+@pytest.mark.parametrize("width, height", [(128, 128), (124, 96)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_order_free_metrics_are_symmetric(seed, width, height):
+    """Transforming MS, PAN and product together leaves SNR, NRMSE and
+    every row's excluded_pixels bit-identical, for all seven methods."""
+    ms, pan, _ = synthesize(SyntheticSpec(seed=seed, width=width, height=height))
+    ms = resample_nearest(ms, pan.width, pan.height)
+    failures = []
+    for method in METHOD_NAMES:
+        product = fuse(method, ms, pan)
+        want = order_free_rows(ms, pan, product, method)
+        for name, t in TRANSFORMS.items():
+            got = order_free_rows(*(transformed(x, t) for x in (ms, pan, product)), method)
+            if got != want:
+                failures.append((method, name))
+    assert failures == []
