@@ -16,12 +16,12 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .fusion import METHOD_NAMES, fuse, normalize_method
-from .metrics import DEFAULT_CSA_PERCENTILE, MetricRecord, evaluate_all
+from .metrics import MetricRecord, evaluate_all
 from .raster import MultiBandImage, Raster, load_pnm, resample_nearest, save_pnm
 from .report import (
     plain_file_name, plain_int, read_csv, render_reports, repeated_rows, table_end, write_csv
@@ -104,17 +104,15 @@ _KIND_NAMES = {float: "a positive number", str: "a printable string"}
 
 @dataclass(frozen=True)
 class BatchManifest:
-    """A parsed manifest. Each field is a top-level manifest key; those
-    without a default are required."""
+    """A parsed manifest. Each field is a required top-level manifest key."""
 
     pairs: tuple[PairSpec, ...]
     methods: tuple[str, ...]
     output_dir: Path
-    csa_percentile: float = DEFAULT_CSA_PERCENTILE
 
 
-_MANIFEST_KEYS = {f.name for f in fields(BatchManifest)}
-_REQUIRED_KEYS = [f.name for f in fields(BatchManifest) if f.default is MISSING]
+# In field order, which fixes the key a "manifest is missing" error names.
+_MANIFEST_KEYS = tuple(f.name for f in fields(BatchManifest))
 
 
 def _manifest_str(entry: dict, key: str, where: str) -> str:
@@ -178,12 +176,6 @@ def _usage(f, *args, **kwargs):
         raise UsageError(str(e)) from None
 
 
-def _check_percentile(value, name: str) -> float:
-    if not _is_real(value) or not 0.0 < float(value) < 100.0:
-        raise UsageError(f"{name} must be a number in (0, 100), got {value!r}")
-    return float(value)
-
-
 def load_manifest(path) -> BatchManifest:
     """Parse and validate a batch manifest JSON file.
 
@@ -204,10 +196,10 @@ def load_manifest(path) -> BatchManifest:
         raise UsageError(f"manifest is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise UsageError("manifest must be a JSON object")
-    unknown = sorted(set(raw) - _MANIFEST_KEYS)
+    unknown = sorted(set(raw).difference(_MANIFEST_KEYS))
     if unknown:
         raise UsageError(f"unknown manifest keys: {', '.join(unknown)}")
-    for key in _REQUIRED_KEYS:
+    for key in _MANIFEST_KEYS:
         if key not in raw:
             raise UsageError(f"manifest is missing {key!r}")
 
@@ -232,10 +224,6 @@ def load_manifest(path) -> BatchManifest:
         raise UsageError("'output_dir' must not contain a surrogate code point")
     base = manifest_path.parent
     output_dir = base / _file_system_name(raw["output_dir"], "'output_dir'")
-
-    percentile = _check_percentile(
-        raw.get("csa_percentile", DEFAULT_CSA_PERCENTILE), "'csa_percentile'"
-    )
 
     if not isinstance(raw["pairs"], list) or not raw["pairs"]:
         raise UsageError("'pairs' must be a non-empty list")
@@ -278,12 +266,7 @@ def load_manifest(path) -> BatchManifest:
             )
         pairs.append(pair)
 
-    return BatchManifest(
-        pairs=tuple(pairs),
-        methods=tuple(methods),
-        output_dir=output_dir,
-        csa_percentile=percentile,
-    )
+    return BatchManifest(pairs=tuple(pairs), methods=tuple(methods), output_dir=output_dir)
 
 
 def _as_multiband(image) -> MultiBandImage:
@@ -378,9 +361,7 @@ def _run_pair(pair: PairSpec, manifest: BatchManifest) -> tuple[list, list, int,
             fused = fuse(method, ms, pan)
             out_path = pair_dir / f"{method}.ppm"
             save_pnm(fused, out_path)
-            records.extend(
-                evaluate_all(ms, pan, fused, pair.pair_id, method, manifest.csa_percentile)
-            )
+            records.extend(evaluate_all(ms, pan, fused, pair.pair_id, method))
         except Exception as e:
             failed += 1
             message, tb = _failure(e, f"{pair.pair_id}/{method}")
@@ -430,7 +411,6 @@ def cmd_fuse(args) -> int:
 
 def cmd_evaluate(args) -> int:
     method = _usage(normalize_method, args.method)
-    percentile = _check_percentile(args.csa_percentile, "--csa-percentile")
     # Echoed to stdout: the printable rule of a manifest's labels.
     if not args.pair_id.isprintable():
         raise UsageError(
@@ -440,7 +420,7 @@ def cmd_evaluate(args) -> int:
     _usage(table_end, args.csv)  # before any work: a file that is no table stays as it is
     ms, pan = _load_pair(args.ms, args.pan)
     fused = _as_multiband(load_pnm(args.fused))
-    records = evaluate_all(ms, pan, fused, args.pair_id, method, percentile)
+    records = evaluate_all(ms, pan, fused, args.pair_id, method)
     write_csv(records, args.csv, append=True)
     _echo(f"wrote {len(records)} records for {args.pair_id}/{method} to {args.csv}")
     return EXIT_OK
@@ -512,12 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-id", required=True)
     p.add_argument("--method", required=True)
     p.add_argument("--csv", required=True, help="CSV to append records to")
-    p.add_argument(
-        "--csa-percentile",
-        type=float,
-        default=DEFAULT_CSA_PERCENTILE,
-        help="edge-class threshold percentile (default %(default)s)",
-    )
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("batch", help="run a JSON manifest of pairs and methods")

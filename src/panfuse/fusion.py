@@ -22,6 +22,7 @@ from .raster import (
     MultiBandImage,
     Raster,
     clamp_quantize,
+    dn8,
     exact_sum,
     moments,
     quantize_rows,
@@ -170,7 +171,7 @@ def fuse_ihs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     """
     require_same_grid(ms, pan, "fuse_ihs")
     bands = _require_rgb(ms, "fuse_ihs")
-    if all(b.dtype == np.uint8 for b in bands):
+    if all(dn8(b) is not None for b in ms.bands):
         # I = S / 3 for the int16 band sum S = R+G+B, with S's exact moments.
         ref = _moments(np.add(np.add(bands[0], bands[1], dtype=np.int16), bands[2]), 3)
     else:
@@ -261,7 +262,7 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
     p = pan.array
     bands = [b.array for b in ms.bands]
     lines = []
-    if all(a.dtype == np.uint8 for a in (p, *bands)):
+    if all(dn8(r) is not None for r in (pan, *ms.bands)):
         p_sum, p_squares, n = int(p.sum(dtype=np.int64)), exact_sum(p, p), p.size
         denominator = n * p_squares - p_sum * p_sum
         for m in bands:
@@ -275,7 +276,7 @@ def fuse_rvs(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> Multi
             m_mean = np.mean(m)
             slope = 0.0 if constant else float(np.mean(dp * (m - m_mean)) / p_var)
             lines.append((float(m_mean - slope * p_mean), slope))
-    if quantize and p.dtype == np.uint8:
+    if quantize and dn8(pan) is not None:
         levels = np.array([c + slope * np.arange(256.0) for c, slope in lines])
         tables = quantize_rows(levels, np.empty(levels.shape, np.uint8))
         return _product(ms, lambda rows: tables.take(p[rows], axis=1), quantize)
@@ -289,7 +290,7 @@ def fuse_ef(ms: MultiBandImage, pan: Raster, *, quantize: bool = True) -> MultiB
     is taken in float64. Row strips are sized for the widest sum."""
     require_same_grid(ms, pan, "fuse_ef")
     edges = laplacian_hp(pan).array
-    bands = [(b.array, None if b.array.dtype == np.uint8 else np.float64) for b in ms.bands]
+    bands = [(b.array, None if dn8(b) is not None else np.float64) for b in ms.bands]
     itemsize = max(np.result_type(b.dtype if d is None else d, edges).itemsize for b, d in bands)
     sums = lambda rows: (np.add(b[rows], edges[rows], dtype=d) for b, d in bands)
     return _product(ms, sums, quantize, itemsize)

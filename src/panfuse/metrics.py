@@ -47,7 +47,9 @@ __all__ = [
 
 METRIC_ORDER = ("DI", "SNR", "NRMSE", "FCC", "HPDI", "CSA_edge", "CSA_homog")
 
-DEFAULT_CSA_PERCENTILE = 90.0
+# CSA's edge class: PAN pixels at or above this percentile of Laplacian
+# magnitude. Fixed, so every CSA row means the same thing.
+CSA_PERCENTILE = 90.0
 
 
 @dataclass(frozen=True)
@@ -206,11 +208,11 @@ def _local_michelson(band: Raster) -> np.ndarray:
     return contrast
 
 
-def _pan_classes(pan_hp: Raster, percentile: float) -> tuple[np.ndarray, np.ndarray]:
+def _pan_classes(pan_hp: Raster) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the edge and homogeneous pixels of a PAN's
     Laplacian plane; raises, memoising nothing, if either class is empty."""
     magnitude = np.abs(pan_hp.array)
-    threshold = float(np.percentile(magnitude, percentile))
+    threshold = float(np.percentile(magnitude, CSA_PERCENTILE))
     edge_mask = magnitude >= threshold
     edge, homog = np.flatnonzero(edge_mask), np.flatnonzero(~edge_mask)
     if not edge.size or not homog.size:
@@ -218,20 +220,18 @@ def _pan_classes(pan_hp: Raster, percentile: float) -> tuple[np.ndarray, np.ndar
     return edge, homog
 
 
-def csa(
-    band: Raster, pan: Raster, percentile: float = DEFAULT_CSA_PERCENTILE
-) -> tuple[float, float]:
+def csa(band: Raster, pan: Raster) -> tuple[float, float]:
     """Contrast statistical analysis over edge and homogeneous regions.
 
-    PAN pixels at or above the given percentile of Laplacian magnitude
-    form the edge class, the rest the homogeneous class. The statistic
-    for each class is the mean 3x3 local Michelson contrast
-    (max - min) / (max + min) of ``band``, taken as 0 where max + min
-    is zero.
+    PAN pixels at or above the :data:`CSA_PERCENTILE` (90th) percentile
+    of Laplacian magnitude form the edge class, the rest the homogeneous
+    class. The statistic for each class is the mean 3x3 local Michelson
+    contrast (max - min) / (max + min) of ``band``, taken as 0 where
+    max + min is zero.
 
-    The classes are computed once per PAN and percentile: they are
-    memoised on ``laplacian_hp(pan)`` by ``raster.memoised``, under that
-    helper's thread rule (instance dict, ``setdefault``, no lock). Each
+    The classes are computed once per PAN: they are memoised on
+    ``laplacian_hp(pan)`` by ``raster.memoised``, under that helper's
+    thread rule (instance dict, ``setdefault``, no lock). Each
     class mean gathers the same pixels in the same order as a boolean
     mask would, so its bits do not depend on the memo.
 
@@ -243,9 +243,7 @@ def csa(
     """
     require_same_grid(band, pan, "csa")
     pan_hp = laplacian_hp(pan)
-    edge, homog = memoised(
-        pan_hp, ("_csa_classes", percentile), lambda: _pan_classes(pan_hp, percentile)
-    )
+    edge, homog = memoised(pan_hp, "_csa_classes", lambda: _pan_classes(pan_hp))
     contrast = _local_michelson(band).ravel()
     return float(np.mean(contrast.take(edge))), float(np.mean(contrast.take(homog)))
 
@@ -267,7 +265,6 @@ def evaluate_all(
     fused: MultiBandImage,
     pair_id: str,
     method: str,
-    csa_percentile: float = DEFAULT_CSA_PERCENTILE,
 ) -> list[MetricRecord]:
     """Compute every metric for every band of a fused product.
 
@@ -290,7 +287,7 @@ def evaluate_all(
         diff, ratio, error = _spectral(fband, mband)
         row = [_mean_ratio(diff, mband, "DI: reference band"), (ratio, 0), (error, 0)]
         row += [(fcc(fband, pan), 0), hpdi(fband, pan)]
-        row += [(c, 0) for c in csa(fband, pan, csa_percentile)]
+        row += [(c, 0) for c in csa(fband, pan)]
         table.append(row)
 
     records = [

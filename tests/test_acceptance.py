@@ -148,10 +148,11 @@ def michelson_oracle(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def csa_oracle(band: np.ndarray, hp: np.ndarray, percentile=90.0):
-    """CSA from the band and PAN's oracle Laplacian."""
+def csa_oracle(band: np.ndarray, hp: np.ndarray):
+    """CSA from the band and PAN's oracle Laplacian, edge class at the
+    90th percentile."""
     magnitude = np.abs(hp)
-    threshold = float(np.percentile(magnitude, percentile))
+    threshold = float(np.percentile(magnitude, 90.0))
     contrast = michelson_oracle(band)
     edge = [c for c, m in zip(contrast.flat, magnitude.flat) if m >= threshold]
     homog = [c for c, m in zip(contrast.flat, magnitude.flat) if m < threshold]

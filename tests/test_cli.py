@@ -88,6 +88,16 @@ class TestUsageErrors:
         for name in ("SF", "IHS", "HSV", "HFA", "HFM", "RVS", "EF"):
             assert name in err
 
+    def test_entrypoint_exits_with_mains_code(self, tmp_path, capsys, monkeypatch):
+        """The console script's function reads ``sys.argv`` and exits with
+        ``main``'s code."""
+        missing = tmp_path / "missing.json"
+        monkeypatch.setattr(sys, "argv", ["panfuse", "batch", "--manifest", str(missing)])
+        with pytest.raises(SystemExit) as e:
+            cli.entrypoint()
+        assert e.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot read manifest: ")
+
 
 class TestFuseCommand:
     def test_writes_pan_sized_product(self, pair_dir, capsys):
@@ -220,8 +230,9 @@ class TestEvaluateCommand:
         assert csv.read_text(encoding="utf-8").startswith(header + "\ndemo,SF,1,")
         assert len(read_csv(csv)) == ROWS_PER_PRODUCT
 
-    @pytest.mark.parametrize("percentile", ["150", "100", "0", "-1", "nan"])
-    def test_csa_percentile_out_of_range_is_usage_error(self, pair_dir, capsys, percentile):
+    def test_csa_percentile_is_not_an_option(self, pair_dir, capsys):
+        # CSA's edge class is fixed at the 90th percentile; even the value
+        # it has is refused, so no CSA row is made at another threshold.
         csv = pair_dir / "m.csv"
         code = main(
             [
@@ -232,11 +243,11 @@ class TestEvaluateCommand:
                 "--pair-id", "demo",
                 "--method", "sf",
                 "--csv", str(csv),
-                "--csa-percentile", percentile,
+                "--csa-percentile", "90",
             ]
         )
         assert code == EXIT_USAGE
-        assert "--csa-percentile must be a number in (0, 100)" in capsys.readouterr().err
+        assert "unrecognized arguments: --csa-percentile 90" in capsys.readouterr().err
         assert not csv.exists()
 
     # os.fsdecode gives an undecodable command-line byte as a lone surrogate.
@@ -339,6 +350,32 @@ class TestGenSyntheticCommand:
         )
         assert code == EXIT_USAGE
         assert "divisible" in capsys.readouterr().err
+
+    def test_scale_and_passes_reach_the_spec(self, tmp_path, capsys):
+        argv = ["gen-synthetic", "--seed", "3", "--width", "24", "--height", "12"]
+        code = main([*argv, "--scale", "2", "--passes", "0", "--out", str(tmp_path / "a")])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        for path in generate_pair(SyntheticSpec(3, 24, 12, 2, 0), tmp_path / "b"):
+            assert (tmp_path / "a" / path.name).read_bytes() == path.read_bytes()
+
+    def test_scale_that_does_not_divide_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        code = main(
+            [
+                "gen-synthetic",
+                "--seed", "3",
+                "--width", "24",
+                "--height", "12",
+                "--scale", "5",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: width and height (24x12) must be divisible by scale_factor 5\n"
+        )
+        assert not out.exists()
 
     def test_image_too_big_to_allocate_is_one_error_line(self, tmp_path, capsys):
         """400000x400000 float64 samples are 1.16 TiB. With the address
@@ -462,16 +499,16 @@ class TestManifestValidation:
         assert "not found" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("percentile", [100.0, pytest.param(10**400, id="10**400")])
-    def test_bad_percentile(self, pair_dir, capsys, percentile):
+    def test_csa_percentile_is_an_unknown_key(self, pair_dir, capsys):
         payload = {
             "pairs": [{"pair_id": "p", "ms_path": "ms.ppm", "pan_path": "pan.pgm"}],
             "methods": ["SF"],
             "output_dir": "out",
-            "csa_percentile": percentile,
+            "csa_percentile": 90.0,
         }
         err = self.error(pair_dir, payload, capsys)
-        assert "csa_percentile" in err
+        assert err == "error: unknown manifest keys: csa_percentile\n"
+        assert not (pair_dir / "out").exists()
 
     def test_inverted_resolutions_rejected(self, pair_dir, capsys):
         payload = {
@@ -648,7 +685,6 @@ class TestManifestValidation:
         assert manifest.methods == ("SF", "IHS")
         assert manifest.pairs[0].ms_sensor == "A"
         assert manifest.pairs[0].pan_path == pair_dir / "pan.pgm"
-        assert manifest.csa_percentile == 90.0
 
 
 class TestBatchCommand:
@@ -1118,6 +1154,52 @@ class TestCoarseMs:
             )
         ]
         assert [row(r) for r in read_csv(tmp_path / "out" / "metrics.csv")] == want
+
+
+class TestSingleBandMs:
+    """A PGM MS runs as a one-band image: the band-wise methods fuse it,
+    SF, which needs three bands, fails alone, and the one-band products
+    are scored and charted like any other."""
+
+    def test_batch_evaluate_and_report(self, tmp_path, capsys):
+        generate_pair(SyntheticSpec(seed=2, width=16, height=16, scale_factor=4), tmp_path)
+        save_pnm(load_pnm(tmp_path / "ms.ppm").bands[1], tmp_path / "ms.pgm")
+        payload = {
+            "pairs": [{"pair_id": "p", "ms_path": "ms.pgm", "pan_path": "pan.pgm"}],
+            "methods": ["HFA", "SF", "EF"],
+            "output_dir": "out",
+        }
+        manifest = write_manifest(tmp_path / "manifest.json", payload)
+        assert main(["batch", "--manifest", str(manifest)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "  SF: failed: ihs_forward requires exactly 3 bands, got 1\n" in captured.out
+        assert captured.err == "1 of 3 fusion tasks failed\n"
+        for method in ("HFA", "EF"):
+            product = load_pnm(tmp_path / "out" / "p" / f"{method}.ppm")
+            assert isinstance(product, Raster)
+            assert (product.width, product.height) == (16, 16)
+        rows = read_csv(tmp_path / "out" / "metrics.csv")
+        assert [r.method for r in rows] == ["HFA"] * 14 + ["EF"] * 14
+        assert {r.band for r in rows} == {"1", "avg"}
+
+        csv = tmp_path / "e.csv"
+        code = main(
+            [
+                "evaluate",
+                "--ms", str(tmp_path / "ms.pgm"),
+                "--pan", str(tmp_path / "pan.pgm"),
+                "--fused", str(tmp_path / "out" / "p" / "EF.ppm"),
+                "--pair-id", "p",
+                "--method", "EF",
+                "--csv", str(csv),
+            ]
+        )
+        assert code == EXIT_OK
+        assert [row(r) for r in read_csv(csv)] == [row(r) for r in rows[14:]]
+        charts = tmp_path / "charts"
+        assert main(["report", "--csv", str(csv), "--out", str(charts)]) == EXIT_OK
+        capsys.readouterr()
+        assert sorted(p.stem for p in charts.iterdir()) == sorted(METRIC_ORDER)
 
 
 class FakeLibc:

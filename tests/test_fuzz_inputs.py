@@ -56,7 +56,6 @@ def inputs(tmp_path_factory):
         ],
         "methods": ["SF", "HFA"],
         "output_dir": "out",
-        "csa_percentile": 90.0,
     }
     code, _, _ = run(batch_argv(root, json.dumps(manifest)))
     assert code == EXIT_OK

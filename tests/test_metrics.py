@@ -119,9 +119,9 @@ def michelson_oracle(a):
     return out
 
 
-def csa_oracle(band, pan, percentile=90.0):
+def csa_oracle(band, pan):
     magnitude = np.abs(lap_oracle(pan))
-    threshold = np.percentile(magnitude, percentile)
+    threshold = np.percentile(magnitude, 90.0)
     contrast = michelson_oracle(band)
     edge = [contrast[i, j] for i in range(band.shape[0]) for j in range(band.shape[1]) if magnitude[i, j] >= threshold]
     homog = [contrast[i, j] for i in range(band.shape[0]) for j in range(band.shape[1]) if magnitude[i, j] < threshold]
@@ -365,23 +365,8 @@ class TestCsa:
         assert got[0] == pytest.approx(want[0], rel=1e-12)
         assert got[1] == pytest.approx(want[1], rel=1e-12)
 
-    def test_percentile_parameter_changes_split(self):
-        band = seeded(12, 12, 32)
-        pan = seeded(12, 12, 33)
-        got = csa(band, pan, percentile=50.0)
-        want = csa_oracle(band.samples, pan.samples, percentile=50.0)
-        assert got == pytest.approx(want, rel=1e-12)
-
 
 class TestCsaMemo:
-    def test_percentile_switch_recomputes(self):
-        band = seeded(12, 12, 40)
-        pan = seeded(12, 12, 41)
-        for percentile in (90.0, 50.0, 90.0):
-            got = csa(band, pan, percentile=percentile)
-            want = csa_oracle(band.samples, pan.samples, percentile=percentile)
-            assert got == pytest.approx(want, rel=1e-12)
-
     def test_degenerate_pan_fails_on_every_call(self):
         band = seeded(8, 8, 42)
         pan = Raster(np.full((8, 8), 100.0))
@@ -420,7 +405,7 @@ class TestCsaMemo:
         pan = seeded(12, 12, 49)
         first = laplacian_hp(pan)
         csa(band, pan)
-        csa(band, pan, percentile=50.0)
+        csa(band, pan)
         assert laplacian_hp(pan) is first
 
 
@@ -434,9 +419,9 @@ def mask_hpdi(hf, hp, p):
     return float(np.mean(np.abs(hf - hp)[valid] / p[valid]))
 
 
-def mask_csa(contrast, hp, percentile):
+def mask_csa(contrast, hp):
     magnitude = np.abs(hp)
-    edge = magnitude >= float(np.percentile(magnitude, percentile))
+    edge = magnitude >= float(np.percentile(magnitude, 90.0))
     return float(np.mean(contrast[edge])), float(np.mean(contrast[~edge]))
 
 
@@ -454,10 +439,9 @@ class TestBooleanMaskBitIdentity:
         st.integers(2, 40),
         st.integers(2, 40),
         st.sampled_from([0.0, 0.02]),
-        st.sampled_from([50.0, 90.0]),
     )
     @settings(deadline=None, max_examples=25)
-    def test_matches_mask_formulation(self, seed, h, w, zero_frac, percentile):
+    def test_matches_mask_formulation(self, seed, h, w, zero_frac):
         rng = np.random.default_rng(seed)
 
         def image():
@@ -470,14 +454,14 @@ class TestBooleanMaskBitIdentity:
         assert deviation_index(f, m)[0] == mask_deviation_index(f.samples, m.samples)
         assert hpdi(f, pan)[0] == mask_hpdi(hf, hp, pan.samples)
         magnitude = np.abs(hp)
-        edge = magnitude >= float(np.percentile(magnitude, percentile))
+        edge = magnitude >= float(np.percentile(magnitude, 90.0))
         if edge.all():
             with pytest.raises(ValueError, match="class empty"):
-                csa(f, pan, percentile)
+                csa(f, pan)
             return
-        want = mask_csa(michelson_oracle(f.samples), hp, percentile)
-        assert csa(f, pan, percentile) == want
-        assert csa(f, pan, percentile) == want  # a memo hit
+        want = mask_csa(michelson_oracle(f.samples), hp)
+        assert csa(f, pan) == want
+        assert csa(f, pan) == want  # a memo hit
 
 
 class TestPermutationInvariance:
